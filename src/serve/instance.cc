@@ -762,8 +762,8 @@ EngineInstance::finish(Request &request, double now)
 /**
  * Account one plan's prefix-cache activity: hit/op counters, the
  * swap-channel traffic demotions and demoted-node hits generate, and
- * the structural self-check. Runs after the pools reflect the plan
- * and before the backend mirrors it.
+ * the per-plan structural self-check. Runs after the pools reflect
+ * the plan and before the backend mirrors it.
  */
 void
 EngineInstance::applyPrefixPlan(const IterationPlan &plan)
@@ -804,12 +804,16 @@ EngineInstance::applyPrefixPlan(const IterationPlan &plan)
         std::max(metrics_.prefixCachePeakBytes,
                  admission_.cacheDdrBytes() +
                      admission_.cacheCxlBytes());
-    prefixCache_->checkInvariants();
+    prefixCache_->checkPlan(plan.prefixOps, plan.prefixHits);
 }
 
 Result
 EngineInstance::finalize()
 {
+    // The per-plan checks cover what each iteration touched; one full
+    // sweep at drain re-checks the whole tree.
+    if (prefixCache_)
+        prefixCache_->checkInvariants();
     Result result;
     result.metrics = std::move(metrics_);
     result.metrics.makespan = events_.now();

@@ -412,37 +412,33 @@ PrefixCache::makeRoom(double bytes, const std::set<std::uint64_t> *keep)
 }
 
 void
-PrefixCache::checkInvariants() const
+PrefixCache::checkNode(const Node &n) const
 {
-    double resident = 0, demoted = 0;
-    for (const auto &entry : nodes_) {
-        const Node &n = entry.second;
-        LIA_ASSERT(n.refs >= 0, "negative refcount on node ", n.id);
-        LIA_ASSERT(!n.blocks.empty(), "empty prefix node ", n.id);
-        for (const auto &block : n.blocks)
-            LIA_ASSERT(static_cast<std::int64_t>(block.size()) ==
-                           blockTokens_,
-                       "ragged block in node ", n.id);
-        if (n.parent == 0) {
-            const auto it = rootChildren_.find(n.blocks.front());
-            LIA_ASSERT(it != rootChildren_.end() &&
-                           it->second == n.id,
-                       "root edge lost for node ", n.id);
-            LIA_ASSERT(n.startToken == 0, "root child node ", n.id,
-                       " starts at token ", n.startToken);
-        } else {
-            const Node &parent = node(n.parent);
-            const auto it = parent.children.find(n.blocks.front());
-            LIA_ASSERT(it != parent.children.end() &&
-                           it->second == n.id,
-                       "parent edge lost for node ", n.id);
-            LIA_ASSERT(n.startToken ==
-                           parent.startToken +
-                               parent.tokens(blockTokens_),
-                       "node ", n.id, " start drifted");
-        }
-        (n.demoted ? demoted : resident) += nodeBytes(n);
+    LIA_ASSERT(n.refs >= 0, "negative refcount on node ", n.id);
+    LIA_ASSERT(!n.blocks.empty(), "empty prefix node ", n.id);
+    for (const auto &block : n.blocks)
+        LIA_ASSERT(static_cast<std::int64_t>(block.size()) == blockTokens_,
+                   "ragged block in node ", n.id);
+    if (n.parent == 0) {
+        const auto it = rootChildren_.find(n.blocks.front());
+        LIA_ASSERT(it != rootChildren_.end() && it->second == n.id,
+                   "root edge lost for node ", n.id);
+        LIA_ASSERT(n.startToken == 0, "root child node ", n.id,
+                   " starts at token ", n.startToken);
+    } else {
+        const Node &parent = node(n.parent);
+        const auto it = parent.children.find(n.blocks.front());
+        LIA_ASSERT(it != parent.children.end() && it->second == n.id,
+                   "parent edge lost for node ", n.id);
+        LIA_ASSERT(n.startToken ==
+                       parent.startToken + parent.tokens(blockTokens_),
+                   "node ", n.id, " start drifted");
     }
+}
+
+void
+PrefixCache::checkLedgers(double resident, double demoted) const
+{
     LIA_ASSERT(std::abs(resident - ddrBytes_) < 0.5,
                "resident cache ledger drifted: nodes hold ", resident,
                " bytes, ledger says ", ddrBytes_);
@@ -452,6 +448,97 @@ PrefixCache::checkInvariants() const
                "admission cache account drifted from the tree");
     LIA_ASSERT(std::abs(admission_.cacheCxlBytes() - cxlBytes_) < 0.5,
                "admission CXL cache account drifted from the tree");
+}
+
+void
+PrefixCache::checkInvariants() const
+{
+    double resident = 0, demoted = 0;
+    for (const auto &entry : nodes_) {
+        const Node &n = entry.second;
+        checkNode(n);
+        (n.demoted ? demoted : resident) += nodeBytes(n);
+    }
+    checkLedgers(resident, demoted);
+}
+
+void
+PrefixCache::uncount(std::uint64_t id)
+{
+    const auto it = counted_.find(id);
+    if (it == counted_.end())
+        return;  // created and reclaimed within one plan
+    (it->second.demoted ? countedCxl_ : countedDdr_) -= it->second.bytes;
+    counted_.erase(it);
+}
+
+std::vector<std::uint64_t>
+PrefixCache::checkPlan(const std::vector<PrefixOp> &ops,
+                       const std::vector<PrefixHit> &hits)
+{
+    // Every field checkInvariants() reads changes only through an
+    // emitted op or a committed hit (lastUse aside, which it does not
+    // check; unpin asserts refs > 0 before decrementing), so the nodes
+    // these name are the only ones whose checks can have changed.
+    std::vector<std::uint64_t> touched, reclaimed;
+    for (const PrefixOp &op : ops) {
+        switch (op.kind) {
+          case PrefixOp::Kind::Split:
+            touched.push_back(op.tail);
+            touched.push_back(op.node);
+            break;
+          case PrefixOp::Kind::Insert:
+          case PrefixOp::Kind::Demote:
+            touched.push_back(op.node);
+            break;
+          case PrefixOp::Kind::Evict:
+          case PrefixOp::Kind::DropCxl:
+            reclaimed.push_back(op.node);
+            break;
+        }
+    }
+    for (const PrefixHit &hit : hits)
+        touched.insert(touched.end(), hit.path.begin(), hit.path.end());
+    std::sort(touched.begin(), touched.end());
+    touched.erase(std::unique(touched.begin(), touched.end()),
+                  touched.end());
+    std::sort(reclaimed.begin(), reclaimed.end());
+
+    for (std::uint64_t id : reclaimed) {
+        LIA_ASSERT(nodes_.count(id) == 0, "reclaimed prefix node ", id,
+                   " is still in the tree");
+        uncount(id);
+    }
+    std::vector<std::uint64_t> checked;
+    for (std::uint64_t id : touched) {
+        const auto it = nodes_.find(id);
+        if (it == nodes_.end()) {
+            // A later op of the same plan reclaimed it.
+            LIA_ASSERT(std::binary_search(reclaimed.begin(),
+                                          reclaimed.end(), id),
+                       "prefix node ", id, " vanished without a reclaim op");
+            continue;
+        }
+        const Node &n = it->second;
+        checkNode(n);
+        checked.push_back(id);
+        // A split re-homes the tail under the head, so the edges one
+        // level down are part of what the plan changed.
+        for (const auto &child : n.children) {
+            checkNode(node(child.second));
+            checked.push_back(child.second);
+        }
+
+        uncount(id);
+        const Counted now{nodeBytes(n), n.demoted};
+        (now.demoted ? countedCxl_ : countedDdr_) += now.bytes;
+        counted_.emplace(id, now);
+    }
+    checkLedgers(countedDdr_, countedCxl_);
+    std::sort(checked.begin(), checked.end());
+    checked.erase(std::unique(checked.begin(), checked.end()),
+                  checked.end());
+    return checked;
 }
 
 std::vector<PrefixCache::NodeView>

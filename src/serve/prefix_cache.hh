@@ -38,6 +38,7 @@
 #include <functional>
 #include <map>
 #include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "model/config.hh"
@@ -195,9 +196,24 @@ class PrefixCache
      * Structural self-check: byte ledgers equal the per-node sums and
      * the admission accounts, refcounts are never negative, children
      * link back to their parents, and every node spans at least one
-     * block. Panics on violation.
+     * block. Walks the whole tree; panics on violation.
      */
     void checkInvariants() const;
+
+    /**
+     * The same checks, restricted to what one plan changed: the
+     * per-node checks on every node @p ops and @p hits created or
+     * changed and on those nodes' direct children, reclaimed ids gone
+     * from the tree, and the ledgers against running per-node byte
+     * sums in O(1). Costs O(touched), not O(tree). The running sums
+     * only see nodes a plan names, so call it on every mutation batch
+     * (insert/makeRoom ops, commitHit records) in order, from the
+     * empty tree on. Panics on violation; returns the sorted ids of
+     * the nodes whose per-node checks ran.
+     */
+    std::vector<std::uint64_t>
+    checkPlan(const std::vector<PrefixOp> &ops,
+              const std::vector<PrefixHit> &hits);
 
     /** All nodes, id-ordered, for the property suite. */
     std::vector<NodeView> nodes() const;
@@ -223,9 +239,26 @@ class PrefixCache
         }
     };
 
+    /** Bytes checkPlan() last counted for a node, and on which side. */
+    struct Counted
+    {
+        double bytes = 0;
+        bool demoted = false;
+    };
+
     Node &node(std::uint64_t id);
     const Node &node(std::uint64_t id) const;
     double nodeBytes(const Node &n) const;
+
+    /** Per-node part of checkInvariants(): refcount, whole non-empty
+     *  blocks, the parent (or root) edge, and startToken. */
+    void checkNode(const Node &n) const;
+
+    /** Per-node byte sums against the ledgers and admission accounts. */
+    void checkLedgers(double resident, double demoted) const;
+
+    /** Drop node @p id's counted bytes from the running sums. */
+    void uncount(std::uint64_t id);
 
     /** Split @p child keeping its first @p keep blocks in a new head
      *  node; returns the head's id and records the op. */
@@ -249,6 +282,11 @@ class PrefixCache
     std::uint64_t clock_ = 0;  //!< LRU stamp source
     double ddrBytes_ = 0;
     double cxlBytes_ = 0;
+
+    /** checkPlan()'s per-node counts and their running sums. */
+    std::unordered_map<std::uint64_t, Counted> counted_;
+    double countedDdr_ = 0;
+    double countedCxl_ = 0;
 };
 
 } // namespace serve

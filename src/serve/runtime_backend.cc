@@ -54,7 +54,7 @@ backendExecutorConfig(std::shared_ptr<base::ThreadPool> pool,
     // (weightBytesPerElement 1.0, e.g. "OPT-30B-int8") runs the int8
     // tile kernels, so the bytes the runtime actually moves match the
     // bytes IterationCostCache/estimateIteration charge. Int4 has no
-    // integer kernel and stays on the fp32 path (pricing-only).
+    // integer kernel, so the RuntimeBackend constructor rejects it.
     if (model.weightBytesPerElement == 1.0)
         cfg.weightPrecision = model::WeightPrecision::Int8;
     return cfg;
@@ -102,6 +102,12 @@ RuntimeBackend::RuntimeBackend(const hw::SystemConfig &system,
 {
     model_.validate();
     config_.validate();
+    if (model_.weightBytesPerElement < 1.0)
+        LIA_FATAL("runtime-backed serving has no int4 kernel: model ",
+                  model_.name, " is priced at ",
+                  model_.weightBytesPerElement,
+                  " B/element but would execute fp32; serve it "
+                  "analytically (no backend) or quantize to int8");
     // The draft proposer shares the kernel pool with the target
     // executor; its weights are an independent random draw (the draft
     // is a different model, not a slice of the target).

@@ -95,7 +95,10 @@ class RuntimeBackend : public ExecutionBackend
 
     /**
      * @param system  hardware the executor charges its work to
-     * @param model   served model; also sizes weights and KV caches
+     * @param model   served model; also sizes weights and KV caches.
+     *                Int4-priced models are fatal: no int4 kernel
+     *                exists, so the runtime would not move the bytes
+     *                the cost model charges
      * @param config  the serving config the engine runs (policy and
      *                seed drive the accounting discipline and the
      *                deterministic prompt synthesis)

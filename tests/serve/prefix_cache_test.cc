@@ -12,6 +12,9 @@
  *  - refcounts are never negative, spans are whole blocks, and the
  *    tree's byte ledgers equal the per-node sums and the admission
  *    controller's cache accounts (checkInvariants);
+ *  - the per-plan check (checkPlan) on the step's ops and hits passes
+ *    wherever the full sweep does, and covers every node whose
+ *    checked fields — or whose parent's span — the step changed;
  *  - eviction never frees a pinned node or an interior node, and
  *    bytes(tree) == sum of live node spans;
  *  - insertion spends only DDR headroom left by live KV, and never
@@ -180,19 +183,29 @@ struct Reference
     }
 };
 
-/** Random block-aligned prompt over a tiny alphabet: collisions (and
- *  with them shared prefixes, splits, partial matches) are frequent. */
+/** Random block-aligned prompt over a tiny alphabet, with a ragged
+ *  tail that exercises block-floor rounding. Half the time it extends
+ *  a random block-prefix of an earlier prompt in @p seen, so shared
+ *  prefixes, splits, partial matches and hits are frequent (fresh
+ *  8-token blocks over three letters almost never collide). */
 std::vector<std::int64_t>
-randomPrompt(std::mt19937_64 &rng)
+randomPrompt(std::mt19937_64 &rng,
+             const std::vector<std::vector<std::int64_t>> &seen)
 {
+    std::vector<std::int64_t> prompt;
+    if (!seen.empty() && std::uniform_int_distribution<int>(0, 1)(rng)) {
+        const auto &base = seen[std::uniform_int_distribution<std::size_t>(
+            0, seen.size() - 1)(rng)];
+        const std::int64_t keep =
+            std::uniform_int_distribution<std::int64_t>(
+                0, static_cast<std::int64_t>(base.size()) / kBlock)(rng);
+        prompt.assign(base.begin(), base.begin() + keep * kBlock);
+    }
     const std::int64_t blocks =
         std::uniform_int_distribution<std::int64_t>(1, 6)(rng);
     std::uniform_int_distribution<std::int64_t> token(0, 2);
-    std::vector<std::int64_t> prompt;
-    prompt.reserve(static_cast<std::size_t>(blocks * kBlock + 3));
     for (std::int64_t i = 0; i < blocks * kBlock; ++i)
         prompt.push_back(token(rng));
-    // A ragged tail exercises block-floor rounding.
     const std::int64_t tail =
         std::uniform_int_distribution<std::int64_t>(0, kBlock - 1)(rng);
     for (std::int64_t i = 0; i < tail; ++i)
@@ -204,6 +217,50 @@ std::size_t
 scenarioCount()
 {
     return test::envScenarioCount("LIA_PREFIX_SCENARIOS", 60);
+}
+
+using Views = std::map<std::uint64_t, serve::PrefixCache::NodeView>;
+
+Views
+viewsOf(const serve::PrefixCache &cache)
+{
+    Views views;
+    for (const auto &view : cache.nodes())
+        views.emplace(view.id, view);
+    return views;
+}
+
+/**
+ * Ids whose per-node checks a step can have changed: new nodes, nodes
+ * whose parent/span/start/residency (or, unless @p skip_refs, refcount)
+ * moved, and nodes whose parent is new or changed its span. lastUse
+ * and child counts are not inputs to any per-node check.
+ */
+std::vector<std::uint64_t>
+changedIds(const Views &before, const Views &after, bool skip_refs)
+{
+    const auto moved = [&](std::uint64_t id) {
+        const auto old = before.find(id);
+        if (old == before.end())
+            return true;
+        const auto &a = old->second;
+        const auto &b = after.at(id);
+        return a.parent != b.parent || a.tokens != b.tokens ||
+               a.startToken != b.startToken || a.demoted != b.demoted ||
+               (!skip_refs && a.refs != b.refs);
+    };
+    std::vector<std::uint64_t> ids;
+    for (const auto &entry : after) {
+        const auto &view = entry.second;
+        if (moved(view.id) ||
+            (view.parent != 0 && (before.count(view.parent) == 0 ||
+                                  before.at(view.parent).tokens !=
+                                      after.at(view.parent).tokens ||
+                                  before.at(view.parent).startToken !=
+                                      after.at(view.parent).startToken)))
+            ids.push_back(view.id);
+    }
+    return ids;
 }
 
 TEST(PrefixCacheProperty, MatchesNaiveReferenceUnderRandomOps)
@@ -221,18 +278,25 @@ TEST(PrefixCacheProperty, MatchesNaiveReferenceUnderRandomOps)
         Harness h(budgets[scenario % 3], scales[scenario % 2]);
         Reference ref;
         std::vector<std::pair<std::uint64_t, std::uint64_t>> pins;
+        std::vector<std::vector<std::int64_t>> seen;
 
         const int steps =
             std::uniform_int_distribution<int>(20, 60)(rng);
         for (int step = 0; step < steps; ++step) {
             const int action =
                 std::uniform_int_distribution<int>(0, 9)(rng);
-            const std::vector<std::int64_t> prompt = randomPrompt(rng);
+            const std::vector<std::int64_t> prompt =
+                randomPrompt(rng, seen);
+            const Views before = viewsOf(h.cache);
+            std::vector<serve::PrefixOp> ops;
+            std::vector<serve::PrefixHit> hits;
+            bool unpinned = false;
 
             if (action < 5) {
-                const auto ops = h.cache.insert(
-                    prompt, static_cast<std::uint64_t>(step));
+                ops = h.cache.insert(prompt,
+                                     static_cast<std::uint64_t>(step));
                 ref.apply(ops, prompt);
+                seen.push_back(prompt);
             } else if (action < 8) {
                 const std::int64_t cap =
                     std::uniform_int_distribution<std::int64_t>(
@@ -245,15 +309,16 @@ TEST(PrefixCacheProperty, MatchesNaiveReferenceUnderRandomOps)
                 EXPECT_NEAR(match.cxlBytes, naive.second, 0.5);
                 if (match.hit() &&
                     std::uniform_int_distribution<int>(0, 1)(rng)) {
-                    const auto hit = h.cache.commitHit(match, 0);
-                    pins.emplace_back(hit.node, hit.node);
+                    hits.push_back(h.cache.commitHit(match, 0));
+                    pins.emplace_back(hits.back().node,
+                                      hits.back().node);
                 }
             } else if (action < 9) {
                 const double want =
                     per_token *
                     std::uniform_int_distribution<std::int64_t>(
                         1, 128)(rng);
-                const auto ops = h.cache.makeRoom(want);
+                ops = h.cache.makeRoom(want);
                 ref.apply(ops, prompt);
                 // Reclaim must never have freed a pinned node.
                 for (const auto &pin : pins)
@@ -262,9 +327,22 @@ TEST(PrefixCacheProperty, MatchesNaiveReferenceUnderRandomOps)
             } else if (!pins.empty()) {
                 h.cache.unpin(pins.back().first);
                 pins.pop_back();
+                unpinned = true;
             }
 
-            // Structural + ledger invariants after every step.
+            // The per-plan check must cover every node whose checked
+            // inputs this step changed (unpin only lowers a refcount,
+            // asserting it stays >= 0, and emits no plan).
+            const auto checked = h.cache.checkPlan(ops, hits);
+            for (std::uint64_t id :
+                 changedIds(before, viewsOf(h.cache), unpinned))
+                EXPECT_TRUE(std::binary_search(checked.begin(),
+                                               checked.end(), id))
+                    << "scenario " << scenario << " step " << step
+                    << ": node " << id << " changed but went unchecked";
+
+            // Structural + ledger invariants after every step; the
+            // full sweep is the oracle for the per-plan check above.
             h.cache.checkInvariants();
             double span_bytes = 0;
             for (const auto &view : h.cache.nodes()) {
@@ -361,6 +439,42 @@ TEST(PrefixCacheProperty, SplitPreservesMatchDepths)
     EXPECT_EQ(h.cache.lookup(a, 4 * kBlock).tokens, 4 * kBlock);
     EXPECT_EQ(h.cache.lookup(b, 4 * kBlock).tokens, 4 * kBlock);
     EXPECT_EQ(h.cache.lookup(a, 3 * kBlock - 1).tokens, 2 * kBlock);
+}
+
+TEST(PrefixCacheProperty, PlanCheckCoversASplitTailsChildren)
+{
+    Harness h(1 << 20);
+    // A is four blocks; C extends A by two more, so C hangs under A.
+    std::vector<std::int64_t> a(4 * kBlock, 1);
+    std::vector<std::int64_t> c(a);
+    c.resize(6 * kBlock, 3);
+    const auto insert_a = h.cache.insert(a, 1);
+    ASSERT_EQ(insert_a.size(), 1u);
+    const std::uint64_t a_id = insert_a.front().node;
+    h.cache.checkPlan(insert_a, {});
+    const auto insert_c = h.cache.insert(c, 2);
+    ASSERT_EQ(insert_c.size(), 1u);
+    const std::uint64_t c_id = insert_c.front().node;
+    h.cache.checkPlan(insert_c, {});
+
+    // B diverges after two blocks: A splits, its tail keeps child C.
+    std::vector<std::int64_t> b(a.begin(), a.begin() + 2 * kBlock);
+    b.resize(4 * kBlock, 2);
+    const auto ops = h.cache.insert(b, 3);
+    ASSERT_EQ(ops.size(), 2u);
+    ASSERT_EQ(ops[0].kind, serve::PrefixOp::Kind::Split);
+    ASSERT_EQ(ops[0].tail, a_id);
+    ASSERT_EQ(ops[1].kind, serve::PrefixOp::Kind::Insert);
+
+    const auto checked = h.cache.checkPlan(ops, {});
+    h.cache.checkInvariants();
+    const std::vector<std::uint64_t> want = {a_id, c_id, ops[0].node,
+                                             ops[1].node};
+    for (std::uint64_t id : want)
+        EXPECT_TRUE(std::binary_search(checked.begin(), checked.end(), id))
+            << "node " << id << " went unchecked";
+    const auto views = viewsOf(h.cache);
+    EXPECT_EQ(views.at(c_id).parent, a_id);
 }
 
 TEST(PrefixCacheProperty, InsertNeverReclaimsItsOwnWalkPath)

@@ -9,13 +9,16 @@
  * in lockstep, no KV leaks at drain, served streams identical to
  * uninterrupted single-sequence generation, and bit-identical repeat
  * runs (the int8 path is deterministic at any thread count, so a
- * served workload is reproducible like the bf16 one).
+ * served workload is reproducible like the bf16 one). Int4 has no
+ * kernel, so a runtime-backed int4 model is rejected up front.
  */
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
+#include "base/logging.hh"
 #include "model/config.hh"
 #include "serve/engine.hh"
 #include "serve/runtime_backend.hh"
@@ -123,6 +126,19 @@ TEST(QuantizedServingTest, RepeatRunsAreBitIdentical)
         EXPECT_EQ(first.outputs(ra.id), second.outputs(ra.id))
             << "request " << ra.id;
     }
+}
+
+TEST(QuantizedServingTest, Int4BackendIsRejected)
+{
+    // Priced at 0.5 B/element but only an fp32 path could run it: the
+    // backend must refuse rather than serve mismatched bytes.
+    const auto int4 = model::quantized(model::tinyOpt(32, 2, 2, 256, 101),
+                                       model::WeightPrecision::Int4);
+    detail::setThrowOnError(true);
+    EXPECT_THROW(serve::RuntimeBackend(test::tinySystem(false), int4,
+                                       servedConfig()),
+                 std::runtime_error);
+    detail::setThrowOnError(false);
 }
 
 } // namespace
