@@ -6,16 +6,10 @@
  * latency distributions (mean / percentiles / extremes) the way the
  * paper's latency-driven scenarios are judged.
  *
- * Division of labour with base/statistics.hh (the two are deliberately
- * separate, not redundant): SampleStats here is an anonymous
- * *distribution* accumulator — it keeps every sample so it can answer
- * order-statistic queries (p50/p95/p99), and is the value type used by
- * serve::Metrics and obs::KernelProfiler. stats::Scalar/Formula/Vector
- * over there are *named, registered* counters in the gem5 stats.txt
- * idiom — O(1) state, no samples retained, no percentiles — dumped as
- * a labelled report via stats::Group. Percentile math lives only here;
- * anything needing a distribution should hold a SampleStats (and may
- * register derived values as a stats::Formula for the dump).
+ * SampleStats keeps every sample so it can answer order-statistic
+ * queries (p50/p95/p99); it is the value type used by serve::Metrics
+ * and obs::KernelProfiler. Percentile math lives only here: anything
+ * needing a distribution should hold a SampleStats.
  */
 
 #ifndef LIA_BASE_STATS_HH

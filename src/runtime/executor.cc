@@ -1,6 +1,6 @@
 #include "runtime/executor.hh"
 
-#include <cmath>
+#include <cstring>
 
 #include "base/logging.hh"
 #include "base/units.hh"
@@ -94,41 +94,6 @@ CooperativeExecutor::modeledSerialLatency() const
 }
 
 void
-CooperativeExecutor::registerStats(stats::Group &group) const
-{
-    group.formula("xfer.param_bytes",
-                  "parameter bytes moved over the host link",
-                  [this] { return ledger_.bytes(Traffic::Param); });
-    group.formula("xfer.kv_bytes",
-                  "KV-cache bytes moved over the host link",
-                  [this] { return ledger_.bytes(Traffic::Kv); });
-    group.formula("xfer.activation_bytes",
-                  "activation bytes moved over the host link",
-                  [this] { return ledger_.bytes(Traffic::Activation); });
-    group.formula("xfer.count", "host-link transfers issued",
-                  [this] {
-                      return static_cast<double>(
-                          ledger_.transferCount());
-                  });
-    group.formula("xfer.seconds", "modeled host-link busy seconds",
-                  [this] { return ledger_.totalTime(); });
-    group.formula("cpu.busy_seconds", "modeled CPU busy seconds",
-                  [this] { return cpu_.busyTime(); });
-    group.formula("gpu.busy_seconds", "modeled GPU busy seconds",
-                  [this] { return gpu_.busyTime(); });
-    group.formula("cpu.allocated_bytes", "host memory allocated",
-                  [this] { return cpu_.allocatedBytes(); });
-    group.formula("gpu.allocated_bytes", "GPU memory allocated",
-                  [this] { return gpu_.allocatedBytes(); });
-    group.formula("kv.context_tokens", "tokens held in the KV cache",
-                  [this] {
-                      return cache_ ? static_cast<double>(
-                                          cache_->length())
-                                    : 0.0;
-                  });
-}
-
-void
 CooperativeExecutor::resetStats()
 {
     ledger_.reset();
@@ -169,57 +134,6 @@ CooperativeExecutor::embed(const std::vector<std::int64_t> &flat_tokens,
     if (kernelOpts_.bf16Rounding)
         hidden.roundBf16();
     return hidden;
-}
-
-Tensor
-CooperativeExecutor::attention(const Tensor &q, const Tensor &keys,
-                               const Tensor &values, std::int64_t batch,
-                               std::int64_t tokens)
-{
-    const auto &cfg = weights_.config;
-    const std::int64_t dh = cfg.headDim;
-    const std::int64_t nh = cfg.numHeads;
-    const std::int64_t group = nh / cfg.kvHeads;
-    const std::int64_t len = keys.dim(1);
-    const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
-
-    Tensor out({batch * tokens, cfg.dModel});
-    // Head-partitioned: each (batch, head) pair is self-contained and
-    // writes a disjoint column slice of the output, so any schedule
-    // produces identical bits. Kernels invoked inside run inline on
-    // the worker (nested parallelFor), keeping their serial order.
-    kernelOpts_.pool->parallelFor(
-        batch * nh, 1, [&](std::int64_t bh0, std::int64_t bh1) {
-        for (std::int64_t bh = bh0; bh < bh1; ++bh) {
-            const std::int64_t b = bh / nh;
-            const std::int64_t h = bh % nh;
-            const std::int64_t kvh = h / group;
-            // Slice this head's Q / K / V.
-            Tensor qh({tokens, dh});
-            for (std::int64_t t = 0; t < tokens; ++t)
-                for (std::int64_t c = 0; c < dh; ++c)
-                    qh.at(t, c) = q.at(b * tokens + t, h * dh + c);
-            Tensor kh({len, dh});
-            Tensor vh({len, dh});
-            for (std::int64_t i = 0; i < len; ++i) {
-                for (std::int64_t c = 0; c < dh; ++c) {
-                    kh.at(i, c) = keys.at(b, i, kvh * dh + c);
-                    vh.at(i, c) = values.at(b, i, kvh * dh + c);
-                }
-            }
-            // Sublayer 2: S = Q x K^T (scaled).
-            Tensor scores = matmulTransposed(qh, kh, kernelOpts_);
-            for (std::int64_t i = 0; i < scores.numel(); ++i)
-                scores.data()[i] *= scale;
-            causalSoftmaxRows(scores, len - tokens, kernelOpts_);
-            // Sublayer 3: softmax(S) x V.
-            Tensor ctx = matmul(scores, vh, Tensor(), kernelOpts_);
-            for (std::int64_t t = 0; t < tokens; ++t)
-                for (std::int64_t c = 0; c < dh; ++c)
-                    out.at(b * tokens + t, h * dh + c) = ctx.at(t, c);
-        }
-    });
-    return out;
 }
 
 void
@@ -312,10 +226,10 @@ CooperativeExecutor::forwardLayers(KvCache &cache, Tensor hidden,
                      v.reshaped({batch, tokens, cfg.kvDim()}));
         chargeSublayer(0, stage, batch, context, resident, policy);
 
-        // Sublayers 2+3: attention scoring against the cache.
-        Tensor keys = cache.keys(l);
-        Tensor values = cache.values(l);
-        Tensor attn = attention(q, keys, values, batch, tokens);
+        // Sublayers 2+3: attention reading the cache in place.
+        Tensor attn = attention(q, cache.view(l), batch, tokens,
+                                cfg.numHeads, cfg.kvHeads, cfg.headDim,
+                                kernelOpts_);
         chargeSublayer(1, stage, batch, context, resident, policy);
         chargeSublayer(2, stage, batch, context, resident, policy);
 
@@ -350,10 +264,12 @@ CooperativeExecutor::sample(const Tensor &hidden, std::int64_t batch,
 {
     const auto &cfg = weights_.config;
     // Only the final position of each sequence feeds the LM head.
-    Tensor last({batch, cfg.dModel});
+    const std::int64_t d = cfg.dModel;
+    Tensor last({batch, d});
     for (std::int64_t b = 0; b < batch; ++b)
-        for (std::int64_t c = 0; c < cfg.dModel; ++c)
-            last.at(b, c) = hidden.at(b * tokens + (tokens - 1), c);
+        std::memcpy(last.data() + b * d,
+                    hidden.data() + (b * tokens + tokens - 1) * d,
+                    sizeof(float) * static_cast<std::size_t>(d));
     Tensor normed =
         layerNorm(last, weights_.lnFinalGain, weights_.lnFinalBias,
                   kernelOpts_);

@@ -21,7 +21,6 @@
 #include <memory>
 #include <vector>
 
-#include "base/statistics.hh"
 #include "core/policy.hh"
 #include "obs/profiler.hh"
 #include "hw/system.hh"
@@ -164,15 +163,6 @@ class CooperativeExecutor
     /** Modeled serial latency: device busy times plus link time. */
     double modeledSerialLatency() const;
 
-    /**
-     * Register live statistics (gem5-style) over this executor's
-     * counters: transfer bytes per traffic class, transfer count,
-     * device busy times, and memory occupancy. Formulas read the
-     * executor's state at dump time, so one registration covers the
-     * whole run. The executor must outlive the group.
-     */
-    void registerStats(stats::Group &group) const;
-
     /** Clear ledger and device busy times (keeps allocations). */
     void resetStats();
 
@@ -212,11 +202,6 @@ class CooperativeExecutor
     void chargeSublayer(int index, model::Stage stage,
                         std::int64_t batch, std::int64_t context,
                         bool resident, const core::Policy &policy);
-
-    /** Multi-head attention against the cache. */
-    Tensor attention(const Tensor &q, const Tensor &keys,
-                     const Tensor &values, std::int64_t batch,
-                     std::int64_t tokens);
 
     hw::SystemConfig system_;
     TransformerWeights weights_;

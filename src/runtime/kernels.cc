@@ -13,6 +13,7 @@
 
 #include "base/logging.hh"
 #include "runtime/bf16.hh"
+#include "runtime/kv_cache.hh"
 
 namespace lia {
 namespace runtime {
@@ -891,6 +892,260 @@ causalSoftmaxRows(Tensor &t, std::int64_t offset,
         }
     });
     maybeRound(t, opts);
+}
+
+namespace {
+
+/** The one shape check of attention() and scalarAttention(). */
+void
+checkAttentionShapes(const Tensor &q, const KvLayerView &kv,
+                     std::int64_t batch, std::int64_t tokens,
+                     std::int64_t heads, std::int64_t kvHeads,
+                     std::int64_t headDim)
+{
+    LIA_ASSERT(q.ndim() == 2 && batch > 0 && tokens > 0 &&
+                   headDim > 0 && kvHeads > 0 &&
+                   heads % kvHeads == 0 &&
+                   q.dim(0) == batch * tokens &&
+                   q.dim(1) == heads * headDim &&
+                   kv.rowStride == kvHeads * headDim &&
+                   kv.length >= tokens &&
+                   kv.batchStride >= kv.length * kv.rowStride,
+               "attention shape mismatch: q ", q.dim(0), "x", q.dim(1),
+               ", batch ", batch, ", tokens ", tokens, ", heads ", heads,
+               "/", kvHeads, "x", headDim, ", kv length ", kv.length,
+               " stride ", kv.rowStride);
+}
+
+/**
+ * Scores of one query row: s[j] = q . k_j for j in [0, count), key j
+ * at kb + j * rs. Each score is one accumulator chain summing
+ * c-ascending from 0, the reference dot product's order. The SSE2
+ * path sweeps eight keys at once, one key per lane: it loads 4x4
+ * blocks of (key, c) and transposes them so lane i of column c holds
+ * k_i[c].
+ */
+void
+attentionScores(const float *q, const float *kb, std::int64_t rs,
+                std::int64_t dh, std::int64_t count, float *s)
+{
+    std::int64_t j = 0;
+#if LIA_KERNEL_SSE2
+    for (; j + 8 <= count; j += 8) {
+        const float *k = kb + j * rs;
+        __m128 lo = _mm_setzero_ps();
+        __m128 hi = _mm_setzero_ps();
+        std::int64_t c = 0;
+        for (; c + 4 <= dh; c += 4) {
+            __m128 r0 = _mm_loadu_ps(k + c);
+            __m128 r1 = _mm_loadu_ps(k + rs + c);
+            __m128 r2 = _mm_loadu_ps(k + 2 * rs + c);
+            __m128 r3 = _mm_loadu_ps(k + 3 * rs + c);
+            __m128 r4 = _mm_loadu_ps(k + 4 * rs + c);
+            __m128 r5 = _mm_loadu_ps(k + 5 * rs + c);
+            __m128 r6 = _mm_loadu_ps(k + 6 * rs + c);
+            __m128 r7 = _mm_loadu_ps(k + 7 * rs + c);
+            _MM_TRANSPOSE4_PS(r0, r1, r2, r3);
+            _MM_TRANSPOSE4_PS(r4, r5, r6, r7);
+            const __m128 x0 = _mm_set1_ps(q[c]);
+            const __m128 x1 = _mm_set1_ps(q[c + 1]);
+            const __m128 x2 = _mm_set1_ps(q[c + 2]);
+            const __m128 x3 = _mm_set1_ps(q[c + 3]);
+            lo = _mm_add_ps(lo, _mm_mul_ps(x0, r0));
+            hi = _mm_add_ps(hi, _mm_mul_ps(x0, r4));
+            lo = _mm_add_ps(lo, _mm_mul_ps(x1, r1));
+            hi = _mm_add_ps(hi, _mm_mul_ps(x1, r5));
+            lo = _mm_add_ps(lo, _mm_mul_ps(x2, r2));
+            hi = _mm_add_ps(hi, _mm_mul_ps(x2, r6));
+            lo = _mm_add_ps(lo, _mm_mul_ps(x3, r3));
+            hi = _mm_add_ps(hi, _mm_mul_ps(x3, r7));
+        }
+        for (; c < dh; ++c) {
+            const __m128 x = _mm_set1_ps(q[c]);
+            const float *kc = k + c;
+            lo = _mm_add_ps(lo, _mm_mul_ps(x, _mm_setr_ps(
+                                                  kc[0], kc[rs],
+                                                  kc[2 * rs], kc[3 * rs])));
+            hi = _mm_add_ps(hi, _mm_mul_ps(x, _mm_setr_ps(
+                                                  kc[4 * rs], kc[5 * rs],
+                                                  kc[6 * rs], kc[7 * rs])));
+        }
+        _mm_storeu_ps(s + j, lo);
+        _mm_storeu_ps(s + j + 4, hi);
+    }
+#endif
+    for (; j < count; ++j) {
+        const float *kr = kb + j * rs;
+        float acc = 0.0f;
+        for (std::int64_t c = 0; c < dh; ++c)
+            acc += q[c] * kr[c];
+        s[j] = acc;
+    }
+}
+
+/**
+ * out[c] += p[j] * v_j[c] over j ascending in [0, count), value j at
+ * vb + j * rs: one accumulator chain per output element, the
+ * reference matmul's order. The SSE2 path holds 16 columns in
+ * registers across the whole sweep.
+ */
+void
+attentionContext(const float *p, const float *vb, std::int64_t rs,
+                 std::int64_t dh, std::int64_t count, float *out)
+{
+    std::int64_t c = 0;
+#if LIA_KERNEL_SSE2
+    for (; c + 16 <= dh; c += 16) {
+        __m128 a0 = _mm_loadu_ps(out + c);
+        __m128 a1 = _mm_loadu_ps(out + c + 4);
+        __m128 a2 = _mm_loadu_ps(out + c + 8);
+        __m128 a3 = _mm_loadu_ps(out + c + 12);
+        for (std::int64_t j = 0; j < count; ++j) {
+            const __m128 w = _mm_set1_ps(p[j]);
+            const float *v = vb + j * rs + c;
+            a0 = _mm_add_ps(a0, _mm_mul_ps(w, _mm_loadu_ps(v)));
+            a1 = _mm_add_ps(a1, _mm_mul_ps(w, _mm_loadu_ps(v + 4)));
+            a2 = _mm_add_ps(a2, _mm_mul_ps(w, _mm_loadu_ps(v + 8)));
+            a3 = _mm_add_ps(a3, _mm_mul_ps(w, _mm_loadu_ps(v + 12)));
+        }
+        _mm_storeu_ps(out + c, a0);
+        _mm_storeu_ps(out + c + 4, a1);
+        _mm_storeu_ps(out + c + 8, a2);
+        _mm_storeu_ps(out + c + 12, a3);
+    }
+    for (; c + 4 <= dh; c += 4) {
+        __m128 a = _mm_loadu_ps(out + c);
+        for (std::int64_t j = 0; j < count; ++j)
+            a = _mm_add_ps(a, _mm_mul_ps(_mm_set1_ps(p[j]),
+                                         _mm_loadu_ps(vb + j * rs + c)));
+        _mm_storeu_ps(out + c, a);
+    }
+#endif
+    for (; c < dh; ++c) {
+        float acc = out[c];
+        for (std::int64_t j = 0; j < count; ++j)
+            acc += p[j] * vb[j * rs + c];
+        out[c] = acc;
+    }
+}
+
+} // namespace
+
+Tensor
+attention(const Tensor &q, const KvLayerView &kv, std::int64_t batch,
+          std::int64_t tokens, std::int64_t heads, std::int64_t kvHeads,
+          std::int64_t headDim, const KernelOptions &opts)
+{
+    obs::KernelProfiler::Scope profile(opts.profiler, "attention");
+    checkAttentionShapes(q, kv, batch, tokens, heads, kvHeads, headDim);
+    const std::int64_t d = heads * headDim;
+    const std::int64_t len = kv.length;
+    const std::int64_t rs = kv.rowStride;
+    const std::int64_t group = heads / kvHeads;
+    const float scale = 1.0f / std::sqrt(static_cast<float>(headDim));
+    const bool round = opts.bf16Rounding;
+
+    Tensor out({batch * tokens, d});
+    const float *pq = q.data();
+    float *po = out.data();
+    // (batch, head)-partitioned: each pair reads its KV head in place
+    // and writes a disjoint column slice of the output, so any
+    // schedule produces identical bits. A decode step's few heads take
+    // microseconds, so the dispatch takes the low-latency path.
+    parallelRunLowLatency(opts, batch * heads, 1, [&](std::int64_t bh0,
+                                                      std::int64_t bh1) {
+        std::vector<float> probs(static_cast<std::size_t>(len));
+        float *p = probs.data();
+        for (std::int64_t bh = bh0; bh < bh1; ++bh) {
+            const std::int64_t b = bh / heads;
+            const std::int64_t h = bh % heads;
+            const std::int64_t col = (h / group) * headDim;
+            const float *kb = kv.k + b * kv.batchStride + col;
+            const float *vb = kv.v + b * kv.batchStride + col;
+            for (std::int64_t t = 0; t < tokens; ++t) {
+                const std::int64_t row = b * tokens + t;
+                const float *qrow = pq + row * d + h * headDim;
+                float *orow = po + row * d + h * headDim;
+                // Columns from `limit` on are causally masked: the
+                // softmax zeroes them whatever their score.
+                const std::int64_t limit = len - tokens + t + 1;
+
+                attentionScores(qrow, kb, rs, headDim, limit, p);
+
+                // Round, scale, then the causal softmax and its
+                // rounding.
+                for (std::int64_t j = 0; j < limit; ++j)
+                    p[j] = (round ? roundToBf16(p[j]) : p[j]) * scale;
+                float max_val = p[0];
+                for (std::int64_t j = 1; j < limit; ++j)
+                    max_val = std::max(max_val, p[j]);
+                float sum = 0.0f;
+                for (std::int64_t j = 0; j < limit; ++j) {
+                    p[j] = std::exp(p[j] - max_val);
+                    sum += p[j];
+                }
+                for (std::int64_t j = 0; j < limit; ++j) {
+                    p[j] /= sum;
+                    if (round)
+                        p[j] = roundToBf16(p[j]);
+                }
+                std::fill(p + limit, p + len, 0.0f);
+
+                // softmax(S) x V into the zeroed output slice, over
+                // every column as matmul does (masked ones add 0 x v).
+                attentionContext(p, vb, rs, headDim, len, orow);
+                if (round) {
+                    for (std::int64_t c = 0; c < headDim; ++c)
+                        orow[c] = roundToBf16(orow[c]);
+                }
+            }
+        }
+    });
+    return out;
+}
+
+Tensor
+scalarAttention(const Tensor &q, const KvLayerView &kv,
+                std::int64_t batch, std::int64_t tokens,
+                std::int64_t heads, std::int64_t kvHeads,
+                std::int64_t headDim, const KernelOptions &opts)
+{
+    obs::KernelProfiler::Scope profile(opts.profiler, "scalar_attention");
+    checkAttentionShapes(q, kv, batch, tokens, heads, kvHeads, headDim);
+    const KernelOptions serial{opts.bf16Rounding, nullptr};
+    const std::int64_t len = kv.length;
+    const std::int64_t group = heads / kvHeads;
+    const float scale = 1.0f / std::sqrt(static_cast<float>(headDim));
+
+    Tensor out({batch * tokens, heads * headDim});
+    for (std::int64_t b = 0; b < batch; ++b) {
+        for (std::int64_t h = 0; h < heads; ++h) {
+            const std::int64_t kvh = h / group;
+            Tensor qh({tokens, headDim});
+            for (std::int64_t t = 0; t < tokens; ++t)
+                for (std::int64_t c = 0; c < headDim; ++c)
+                    qh.at(t, c) = q.at(b * tokens + t, h * headDim + c);
+            Tensor kh({len, headDim});
+            Tensor vh({len, headDim});
+            for (std::int64_t i = 0; i < len; ++i) {
+                const std::int64_t at =
+                    b * kv.batchStride + i * kv.rowStride + kvh * headDim;
+                for (std::int64_t c = 0; c < headDim; ++c) {
+                    kh.at(i, c) = kv.k[at + c];
+                    vh.at(i, c) = kv.v[at + c];
+                }
+            }
+            Tensor scores = matmulTransposed(qh, kh, serial);
+            for (std::int64_t i = 0; i < scores.numel(); ++i)
+                scores.data()[i] *= scale;
+            causalSoftmaxRows(scores, len - tokens, serial);
+            Tensor ctx = matmul(scores, vh, Tensor(), serial);
+            for (std::int64_t t = 0; t < tokens; ++t)
+                for (std::int64_t c = 0; c < headDim; ++c)
+                    out.at(b * tokens + t, h * headDim + c) = ctx.at(t, c);
+        }
+    }
+    return out;
 }
 
 Tensor

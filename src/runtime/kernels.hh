@@ -32,6 +32,8 @@ class KernelProfiler;
 
 namespace runtime {
 
+struct KvLayerView;
+
 /** Kernel numeric and execution options. */
 struct KernelOptions
 {
@@ -199,6 +201,37 @@ void softmaxRows(Tensor &t, const KernelOptions &opts = {});
  * 0..(offset + i); later columns receive zero probability.
  */
 void causalSoftmaxRows(Tensor &t, std::int64_t offset,
+                       const KernelOptions &opts = {});
+
+/**
+ * Causal multi-head attention reading K and V in place from a cache
+ * layer. Query row (b, t) of head h attends to the first
+ * `kv.length - tokens + t + 1` tokens of batch row b, using KV head
+ * h / (heads / kvHeads) (grouped-query attention when kvHeads <
+ * heads). Parallel over (batch, head); each head runs scalarAttention's
+ * float operations in its order — QK^T dot products k-ascending from
+ * 0, BF16 rounding then scaling of the scores, the causal softmax and
+ * its rounding, S·V accumulated j-ascending into zeroed rows and its
+ * rounding — so the result is bit-identical to it at any thread count.
+ *
+ * @param q   (batch * tokens, heads * headDim), rows (b, t) b-major
+ * @param kv  the layer's view; its length includes this step's tokens
+ * @return    (batch * tokens, heads * headDim)
+ */
+Tensor attention(const Tensor &q, const KvLayerView &kv,
+                 std::int64_t batch, std::int64_t tokens,
+                 std::int64_t heads, std::int64_t kvHeads,
+                 std::int64_t headDim, const KernelOptions &opts = {});
+
+/**
+ * Retained single-thread reference of attention(): per head, copy Q, K
+ * and V out into dense tensors, then compose matmulTransposed, the
+ * score scaling, causalSoftmaxRows and matmul.
+ */
+Tensor scalarAttention(const Tensor &q, const KvLayerView &kv,
+                       std::int64_t batch, std::int64_t tokens,
+                       std::int64_t heads, std::int64_t kvHeads,
+                       std::int64_t headDim,
                        const KernelOptions &opts = {});
 
 /** LayerNorm over the last axis with learned gain/bias (both (n)). */

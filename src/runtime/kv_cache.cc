@@ -22,6 +22,32 @@ spanBf16Bytes(std::int64_t batch, std::int64_t length, std::int64_t kv,
            static_cast<double>(layers);
 }
 
+/**
+ * Copy @p count floats for each of @p batch rows: row b reads from
+ * src + b * src_stride and writes to dst + b * dst_stride.
+ */
+void
+copyBatchRows(float *dst, std::int64_t dst_stride, const float *src,
+              std::int64_t src_stride, std::int64_t batch,
+              std::int64_t count)
+{
+    if (count == 0)
+        return;
+    for (std::int64_t b = 0; b < batch; ++b)
+        std::memcpy(dst + b * dst_stride, src + b * src_stride,
+                    sizeof(float) * static_cast<std::size_t>(count));
+}
+
+/** Compact (B, length, kvDim) copy of one side (K or V) of a view. */
+Tensor
+copyView(const KvLayerView &view, const float *side, std::int64_t batch)
+{
+    Tensor out({batch, view.length, view.rowStride});
+    const std::int64_t row = view.length * view.rowStride;
+    copyBatchRows(out.data(), row, side, view.batchStride, batch, row);
+    return out;
+}
+
 } // namespace
 
 bool
@@ -29,7 +55,18 @@ KvSnapshot::compact() const
 {
     if (empty())
         return length == 0;
-    return keys.front().ndim() == 3 && keys.front().dim(1) == length;
+    const Tensor &front = keys.front();
+    if (front.ndim() != 3 || values.size() != keys.size())
+        return false;
+    // Every layer's K and V share one shape, so the span copies can
+    // run as flat row copies.
+    const std::vector<std::int64_t> shape{front.dim(0), length,
+                                          front.dim(2)};
+    for (std::size_t l = 0; l < keys.size(); ++l) {
+        if (keys[l].shape() != shape || values[l].shape() != shape)
+            return false;
+    }
+    return true;
 }
 
 KvSnapshot
@@ -59,21 +96,16 @@ KvSnapshot::splitHead(std::int64_t tokens)
         Tensor hv({batch, tokens, kv});
         Tensor tk({batch, tail, kv});
         Tensor tv({batch, tail, kv});
-        for (std::int64_t b = 0; b < batch; ++b) {
-            for (std::int64_t i = 0; i < length; ++i) {
-                for (std::int64_t c = 0; c < kv; ++c) {
-                    const float kx = keys[l].at(b, i, c);
-                    const float vx = values[l].at(b, i, c);
-                    if (i < tokens) {
-                        hk.at(b, i, c) = kx;
-                        hv.at(b, i, c) = vx;
-                    } else {
-                        tk.at(b, i - tokens, c) = kx;
-                        tv.at(b, i - tokens, c) = vx;
-                    }
-                }
-            }
-        }
+        const std::int64_t src = length * kv;
+        copyBatchRows(hk.data(), tokens * kv, keys[l].data(), src, batch,
+                      tokens * kv);
+        copyBatchRows(hv.data(), tokens * kv, values[l].data(), src,
+                      batch, tokens * kv);
+        copyBatchRows(tk.data(), tail * kv, keys[l].data() + tokens * kv,
+                      src, batch, tail * kv);
+        copyBatchRows(tv.data(), tail * kv,
+                      values[l].data() + tokens * kv, src, batch,
+                      tail * kv);
         head.keys.push_back(std::move(hk));
         head.values.push_back(std::move(hv));
         tailKeys.push_back(std::move(tk));
@@ -106,14 +138,10 @@ KvSnapshot::headCopy(std::int64_t tokens) const
     for (std::size_t l = 0; l < keys.size(); ++l) {
         Tensor hk({batch, tokens, kv});
         Tensor hv({batch, tokens, kv});
-        for (std::int64_t b = 0; b < batch; ++b) {
-            for (std::int64_t i = 0; i < tokens; ++i) {
-                for (std::int64_t c = 0; c < kv; ++c) {
-                    hk.at(b, i, c) = keys[l].at(b, i, c);
-                    hv.at(b, i, c) = values[l].at(b, i, c);
-                }
-            }
-        }
+        copyBatchRows(hk.data(), tokens * kv, keys[l].data(), length * kv,
+                      batch, tokens * kv);
+        copyBatchRows(hv.data(), tokens * kv, values[l].data(),
+                      length * kv, batch, tokens * kv);
         head.keys.push_back(std::move(hk));
         head.values.push_back(std::move(hv));
     }
@@ -125,13 +153,20 @@ KvCache::KvCache(const model::ModelConfig &config, std::int64_t batch,
     : config_(config), batch_(batch), maxLen_(max_len)
 {
     LIA_ASSERT(batch > 0 && max_len > 0, "bad KV cache dimensions");
-    keys_.reserve(static_cast<std::size_t>(config.numLayers));
-    values_.reserve(static_cast<std::size_t>(config.numLayers));
-    for (std::int64_t l = 0; l < config.numLayers; ++l) {
-        keys_.emplace_back(
-            std::vector<std::int64_t>{batch, max_len, config.kvDim()});
-        values_.emplace_back(
-            std::vector<std::int64_t>{batch, max_len, config.kvDim()});
+}
+
+void
+KvCache::allocate()
+{
+    if (!keys_.empty())
+        return;
+    keys_.reserve(static_cast<std::size_t>(config_.numLayers));
+    values_.reserve(static_cast<std::size_t>(config_.numLayers));
+    for (std::int64_t l = 0; l < config_.numLayers; ++l) {
+        keys_.emplace_back(std::vector<std::int64_t>{
+            batch_, maxLen_, config_.kvDim()});
+        values_.emplace_back(std::vector<std::int64_t>{
+            batch_, maxLen_, config_.kvDim()});
     }
 }
 
@@ -153,17 +188,14 @@ KvCache::append(std::int64_t layer, const Tensor &k, const Tensor &v)
         pendingTokens_ = t;
     LIA_ASSERT(t == pendingTokens_,
                "inconsistent token count across layers");
+    allocate();
 
-    Tensor &kd = keys_[static_cast<std::size_t>(layer)];
-    Tensor &vd = values_[static_cast<std::size_t>(layer)];
-    for (std::int64_t b = 0; b < batch_; ++b) {
-        for (std::int64_t i = 0; i < t; ++i) {
-            for (std::int64_t c = 0; c < config_.kvDim(); ++c) {
-                kd.at(b, length_ + i, c) = k.at(b, i, c);
-                vd.at(b, length_ + i, c) = v.at(b, i, c);
-            }
-        }
-    }
+    const std::int64_t kv = config_.kvDim();
+    const std::int64_t at = length_ * kv;
+    copyBatchRows(keys_[static_cast<std::size_t>(layer)].data() + at,
+                  maxLen_ * kv, k.data(), t * kv, batch_, t * kv);
+    copyBatchRows(values_[static_cast<std::size_t>(layer)].data() + at,
+                  maxLen_ * kv, v.data(), t * kv, batch_, t * kv);
 
     ++nextLayer_;
     if (nextLayer_ == config_.numLayers) {
@@ -173,33 +205,32 @@ KvCache::append(std::int64_t layer, const Tensor &k, const Tensor &v)
     }
 }
 
-Tensor
-KvCache::sliceCurrent(const Tensor &full) const
+KvLayerView
+KvCache::view(std::int64_t layer) const
 {
-    // Include tokens appended mid-step so earlier layers' reads during
-    // the same step see their freshly appended KV.
+    LIA_ASSERT(layer >= 0 && layer < config_.numLayers, "bad layer");
+    const auto l = static_cast<std::size_t>(layer);
+    const std::int64_t kv = config_.kvDim();
+    if (keys_.empty())
+        return {nullptr, nullptr, 0, kv, maxLen_ * kv};  // never written
+    // Layers appended earlier in this step already hold its tokens.
     const std::int64_t len =
-        length_ + (nextLayer_ > 0 ? pendingTokens_ : 0);
-    Tensor out({batch_, len, config_.kvDim()});
-    for (std::int64_t b = 0; b < batch_; ++b)
-        for (std::int64_t i = 0; i < len; ++i)
-            for (std::int64_t c = 0; c < config_.kvDim(); ++c)
-                out.at(b, i, c) = full.at(b, i, c);
-    return out;
+        length_ + (layer < nextLayer_ ? pendingTokens_ : 0);
+    return {keys_[l].data(), values_[l].data(), len, kv, maxLen_ * kv};
 }
 
 Tensor
 KvCache::keys(std::int64_t layer) const
 {
-    LIA_ASSERT(layer >= 0 && layer < config_.numLayers, "bad layer");
-    return sliceCurrent(keys_[static_cast<std::size_t>(layer)]);
+    const KvLayerView lv = view(layer);
+    return copyView(lv, lv.k, batch_);
 }
 
 Tensor
 KvCache::values(std::int64_t layer) const
 {
-    LIA_ASSERT(layer >= 0 && layer < config_.numLayers, "bad layer");
-    return sliceCurrent(values_[static_cast<std::size_t>(layer)]);
+    const KvLayerView lv = view(layer);
+    return copyView(lv, lv.v, batch_);
 }
 
 KvSnapshot
@@ -208,22 +239,17 @@ KvCache::evict()
     LIA_ASSERT(nextLayer_ == 0 && pendingTokens_ == 0,
                "evicting a cache mid-step (", nextLayer_,
                " layers appended)");
+    allocate();  // the snapshot always carries full-geometry tensors
     KvSnapshot snapshot;
     snapshot.length = length_;
     snapshot.bytes = bf16Bytes();
     snapshot.keys = std::move(keys_);
     snapshot.values = std::move(values_);
 
+    // The next write allocates fresh storage; until then the evicted
+    // cache holds none.
     keys_.clear();
     values_.clear();
-    keys_.reserve(static_cast<std::size_t>(config_.numLayers));
-    values_.reserve(static_cast<std::size_t>(config_.numLayers));
-    for (std::int64_t l = 0; l < config_.numLayers; ++l) {
-        keys_.emplace_back(std::vector<std::int64_t>{
-            batch_, maxLen_, config_.kvDim()});
-        values_.emplace_back(std::vector<std::int64_t>{
-            batch_, maxLen_, config_.kvDim()});
-    }
     length_ = 0;
     return snapshot;
 }
@@ -260,14 +286,10 @@ KvCache::snapshotRange(std::int64_t start, std::int64_t end) const
     for (std::size_t l = 0; l < keys_.size(); ++l) {
         Tensor k({batch_, t, kv});
         Tensor v({batch_, t, kv});
-        for (std::int64_t b = 0; b < batch_; ++b) {
-            for (std::int64_t i = 0; i < t; ++i) {
-                for (std::int64_t c = 0; c < kv; ++c) {
-                    k.at(b, i, c) = keys_[l].at(b, start + i, c);
-                    v.at(b, i, c) = values_[l].at(b, start + i, c);
-                }
-            }
-        }
+        copyBatchRows(k.data(), t * kv, keys_[l].data() + start * kv,
+                      maxLen_ * kv, batch_, t * kv);
+        copyBatchRows(v.data(), t * kv, values_[l].data() + start * kv,
+                      maxLen_ * kv, batch_, t * kv);
         span.keys.push_back(std::move(k));
         span.values.push_back(std::move(v));
     }
@@ -280,29 +302,22 @@ KvCache::preload(const KvSnapshot &span)
     if (nextLayer_ > 0 || pendingTokens_ > 0)
         return false;  // never splice into a half-appended step
     if (span.empty() || !span.compact() ||
-        span.keys.size() !=
-            static_cast<std::size_t>(config_.numLayers) ||
-        span.values.size() != span.keys.size())
+        span.keys.size() != static_cast<std::size_t>(config_.numLayers))
         return false;
     if (length_ + span.length > maxLen_)
         return false;
-    for (const Tensor &k : span.keys) {
-        if (k.ndim() != 3 || k.dim(0) != batch_ ||
-            k.dim(2) != config_.kvDim())
-            return false;
-    }
+    const Tensor &front = span.keys.front();
+    if (front.dim(0) != batch_ || front.dim(2) != config_.kvDim())
+        return false;
 
+    allocate();
+    const std::int64_t kv = config_.kvDim();
+    const std::int64_t row = span.length * kv;
     for (std::size_t l = 0; l < keys_.size(); ++l) {
-        for (std::int64_t b = 0; b < batch_; ++b) {
-            for (std::int64_t i = 0; i < span.length; ++i) {
-                for (std::int64_t c = 0; c < config_.kvDim(); ++c) {
-                    keys_[l].at(b, length_ + i, c) =
-                        span.keys[l].at(b, i, c);
-                    values_[l].at(b, length_ + i, c) =
-                        span.values[l].at(b, i, c);
-                }
-            }
-        }
+        copyBatchRows(keys_[l].data() + length_ * kv, maxLen_ * kv,
+                      span.keys[l].data(), row, batch_, row);
+        copyBatchRows(values_[l].data() + length_ * kv, maxLen_ * kv,
+                      span.values[l].data(), row, batch_, row);
     }
     length_ += span.length;
     return true;

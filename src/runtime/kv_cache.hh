@@ -45,8 +45,9 @@ struct KvSnapshot
 
     bool empty() const { return keys.empty(); }
 
-    /** Whether the tensors hold exactly `length` tokens (no slack) —
-     *  the form snapshotRange() produces and preload() consumes. */
+    /** Whether every layer's K and V tensor holds exactly `length`
+     *  tokens (no slack) in one shared shape — the form
+     *  snapshotRange() produces and preload() consumes. */
     bool compact() const;
 
     /**
@@ -66,10 +67,30 @@ struct KvSnapshot
     KvSnapshot headCopy(std::int64_t tokens) const;
 };
 
+/**
+ * Read-only view of one layer's K and V in place in a KvCache. Token i
+ * of batch row b starts at `k + b * batchStride + i * rowStride`
+ * (likewise for v) and holds rowStride floats. The view stays valid
+ * until the cache is next appended to, evicted or restored.
+ */
+struct KvLayerView
+{
+    const float *k = nullptr;
+    const float *v = nullptr;
+    std::int64_t length = 0;       //!< tokens readable per batch row
+    std::int64_t rowStride = 0;    //!< floats per token (kvDim)
+    std::int64_t batchStride = 0;  //!< floats per batch row (maxLen * kvDim)
+};
+
 /** Growing K/V storage for all layers of one batch. */
 class KvCache
 {
   public:
+    /**
+     * A cache of @p max_len tokens per batch row. Its storage is
+     * allocated by the first append() or preload(); restore() adopts
+     * the snapshot's tensors instead.
+     */
     KvCache(const model::ModelConfig &config, std::int64_t batch,
             std::int64_t max_len);
 
@@ -85,10 +106,18 @@ class KvCache
 
     std::int64_t batch() const { return batch_; }
 
-    /** Copy of layer @p layer's keys: (B, length, kvDim). */
+    /**
+     * In-place view of layer @p layer. Mid-step, a layer already
+     * appended this step also shows this step's tokens, so its
+     * attention sees the KV it has just written. A cache holding no
+     * storage yields null pointers and length 0.
+     */
+    KvLayerView view(std::int64_t layer) const;
+
+    /** Copy of view(layer)'s keys: (B, length, kvDim). */
     Tensor keys(std::int64_t layer) const;
 
-    /** Copy of layer @p layer's values: (B, length, kvDim). */
+    /** Copy of view(layer)'s values: (B, length, kvDim). */
     Tensor values(std::int64_t layer) const;
 
     /** BF16 bytes currently held (K and V, all layers). */
@@ -97,9 +126,10 @@ class KvCache
     // --- Eviction / restoration entry points -------------------------
 
     /**
-     * Move the stored KV out, leaving this cache empty but reusable.
-     * The snapshot's bytes equal bf16Bytes() at the call. Evicting
-     * mid-step (layers partially appended) is a bug and panics.
+     * Move the stored KV out, leaving this cache empty but reusable:
+     * it holds no storage until its next write. The snapshot's bytes
+     * equal bf16Bytes() at the call. Evicting mid-step (layers
+     * partially appended) is a bug and panics.
      */
     KvSnapshot evict();
 
@@ -149,7 +179,8 @@ class KvCache
                               base::ThreadPool *pool = nullptr) const;
 
   private:
-    Tensor sliceCurrent(const Tensor &full) const;
+    /** Allocate zeroed storage on first write (none until then). */
+    void allocate();
 
     model::ModelConfig config_;
     std::int64_t batch_;
@@ -157,7 +188,9 @@ class KvCache
     std::int64_t length_ = 0;
     std::int64_t pendingTokens_ = 0;  //!< tokens appended this step
     std::int64_t nextLayer_ = 0;      //!< append cursor
-    std::vector<Tensor> keys_;    //!< per layer (B, maxLen, kvDim)
+    /** Per layer (B, maxLen, kvDim); empty until the first write and
+     *  again after evict(), so an idle or parked cache holds no KV. */
+    std::vector<Tensor> keys_;
     std::vector<Tensor> values_;
 };
 

@@ -291,6 +291,7 @@ RuntimeBackend::onPlan(const IterationPlan &plan,
     stagedPasses_ = std::move(freshPasses_);
     freshPasses_.clear();
     applyPrefixOps(plan);
+    stagedPasses_.clear();  // the inserts have copied what they need
     std::map<std::size_t, const PrefixHit *> hits;
     for (const PrefixHit &hit : plan.prefixHits)
         hits.emplace(hit.index, &hit);
@@ -380,7 +381,7 @@ RuntimeBackend::onPlan(const IterationPlan &plan,
         // The cache peaks at lIn + lOut - 1 tokens (the last decode
         // step's KV lands before its token samples); one slot of slack
         // keeps the bound obvious.
-        seq.cache = std::make_unique<runtime::KvCache>(
+        seq.cache = std::make_shared<runtime::KvCache>(
             model_, 1, request.lIn + request.lOut);
         const auto hit = hits.find(index);
         if (hit != hits.end())
@@ -443,16 +444,9 @@ RuntimeBackend::onPlan(const IterationPlan &plan,
         seq.outputs.push_back(sampled);
         ++counters_.passCompletions;
         if (config_.prefix.enabled) {
-            // Stage a compact copy of the prompt KV: the engine will
-            // flush this pass into the radix tree next iteration, and
-            // the sequence itself may move on (decode growth, swap,
-            // finish) before then.
-            auto staged = std::make_unique<runtime::KvCache>(
-                model_, 1, request.lIn);
-            LIA_ASSERT(staged->preload(seq.cache->snapshotRange(
-                           0, request.lIn)),
-                       "staging the completed pass failed");
-            freshPasses_[request.id] = std::move(staged);
+            // The engine flushes this pass into the radix tree next
+            // iteration; stage the cache itself (see freshPasses_).
+            freshPasses_[request.id] = seq.cache;
         }
         if (optimistic) {
             LIA_ASSERT(sameBytes(seq.cache->bf16Bytes(),

@@ -161,7 +161,9 @@ class RuntimeBackend : public ExecutionBackend
     /** Per-request runtime state. */
     struct Sequence
     {
-        std::unique_ptr<runtime::KvCache> cache;
+        /** Shared with the pass staging maps until the pass's
+         *  prompt KV is inserted into the prefix tree. */
+        std::shared_ptr<runtime::KvCache> cache;
         std::vector<std::int64_t> prompt;
         std::vector<std::int64_t> outputs;
 
@@ -230,17 +232,21 @@ class RuntimeBackend : public ExecutionBackend
     std::map<std::uint64_t, NodePayload> nodes_;
 
     /**
-     * Prompt-prefix KV copies staged at pass completion, keyed by
-     * request id. A pass completing during plan N stages into
-     * fresh...; at the start of onPlan(N+1) the fresh map rotates to
-     * staged..., where that plan's Insert ops (the engine flushes
-     * tree inserts exactly one iteration after the pass) source their
-     * spans and digests. Unconsumed entries age out at the next
-     * rotation.
+     * Caches of completed passes, keyed by request id. A pass
+     * completing during plan N stages into fresh...; at the start of
+     * onPlan(N+1) the fresh map rotates to staged..., where that
+     * plan's Insert ops (the engine flushes tree inserts exactly one
+     * iteration after the pass) source their spans and digests. The
+     * sequence's own cache is staged, not a copy: until then nothing
+     * writes its prompt positions (decode and speculative verify only
+     * append past them, and swap-out or eviction come after the
+     * inserts in onPlan), and a sequence finishing in between leaves
+     * its cache alive in the map. The staged map is dropped as soon
+     * as that plan's ops are applied.
      */
-    std::map<std::uint64_t, std::unique_ptr<runtime::KvCache>>
+    std::map<std::uint64_t, std::shared_ptr<const runtime::KvCache>>
         stagedPasses_;
-    std::map<std::uint64_t, std::unique_ptr<runtime::KvCache>>
+    std::map<std::uint64_t, std::shared_ptr<const runtime::KvCache>>
         freshPasses_;
 
     double ddrBytes_ = 0;

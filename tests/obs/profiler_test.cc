@@ -130,7 +130,7 @@ TEST(ExecutorProfilingTest, ProfilingNeverChangesResults)
     // forward pass exercises.
     const auto *profiler = on.kernelProfiler();
     EXPECT_GT(profiler->calls("matmul_packed"), 0u);
-    EXPECT_GT(profiler->calls("softmax_rows"), 0u);
+    EXPECT_GT(profiler->calls("attention"), 0u);
     EXPECT_GT(profiler->calls("layer_norm"), 0u);
     EXPECT_GT(profiler->totalSeconds("matmul_packed"), 0.0);
 }

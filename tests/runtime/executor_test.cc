@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <stdexcept>
 
 #include "base/logging.hh"
@@ -341,47 +340,6 @@ TEST(TransferLedgerTest, ZeroByteTransfersIgnored)
     ledger.record(Traffic::Activation, 0);
     EXPECT_EQ(ledger.transferCount(), 0);
     EXPECT_DOUBLE_EQ(ledger.totalTime(), 0.0);
-}
-
-} // namespace
-
-namespace {
-
-TEST(ExecutorStatsTest, RegisteredStatsTrackTheRun)
-{
-    using namespace lia;
-    using namespace lia::runtime;
-    const auto sys = hw::sprA100();
-    const auto m = model::tinyOpt();
-    Rng rng(55);
-    ExecutorConfig plan;
-    plan.prefillPolicy = core::Policy::fullGpu();
-    plan.decodePolicy = core::Policy::fullGpu();
-    CooperativeExecutor exec(
-        sys, TransformerWeights::random(m, rng), plan);
-    stats::Group group("lia");
-    exec.registerStats(group);
-
-    std::vector<std::vector<std::int64_t>> prompts{{1, 2, 3, 4},
-                                                   {5, 6, 7, 8}};
-    exec.generate(prompts, 3);
-
-    const auto *param = dynamic_cast<const stats::Formula *>(
-        group.find("lia.xfer.param_bytes"));
-    ASSERT_NE(param, nullptr);
-    EXPECT_DOUBLE_EQ(param->value(),
-                     exec.ledger().bytes(Traffic::Param));
-    EXPECT_GT(param->value(), 0.0);
-
-    const auto *kv_tokens = dynamic_cast<const stats::Formula *>(
-        group.find("lia.kv.context_tokens"));
-    ASSERT_NE(kv_tokens, nullptr);
-    EXPECT_DOUBLE_EQ(kv_tokens->value(), 4.0 + 3.0 - 1.0);
-
-    std::ostringstream oss;
-    group.dump(oss);
-    EXPECT_NE(oss.str().find("lia.gpu.busy_seconds"),
-              std::string::npos);
 }
 
 } // namespace

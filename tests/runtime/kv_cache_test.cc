@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <stdexcept>
 
 #include "base/logging.hh"
+#include "base/rng.hh"
 #include "runtime/kv_cache.hh"
 
 namespace {
@@ -37,7 +39,59 @@ class KvCacheTest : public ::testing::Test
             cache.append(l, filled(tokens, value),
                          filled(tokens, value + 0.5f));
     }
+
+    /** Append distinct random K and V on every layer. */
+    void
+    appendRandom(KvCache &target, std::int64_t tokens)
+    {
+        for (std::int64_t l = 0; l < m.numLayers; ++l)
+            target.append(l,
+                          Tensor::randomNormal({target.batch(), tokens,
+                                                m.kvDim()}, rng, 1.0),
+                          Tensor::randomNormal({target.batch(), tokens,
+                                                m.kvDim()}, rng, 1.0));
+    }
+
+    Rng rng{17};
 };
+
+/** Gather a view's K or V through its strides: (B, length, kvDim). */
+Tensor
+gather(const KvLayerView &view, const float *base, std::int64_t batch)
+{
+    Tensor out({batch, view.length, view.rowStride});
+    for (std::int64_t b = 0; b < batch; ++b)
+        for (std::int64_t i = 0; i < view.length; ++i)
+            for (std::int64_t c = 0; c < view.rowStride; ++c)
+                out.at(b, i, c) =
+                    base[b * view.batchStride + i * view.rowStride + c];
+    return out;
+}
+
+bool
+bitIdentical(const Tensor &a, const Tensor &b)
+{
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data(), b.data(),
+                       sizeof(float) *
+                           static_cast<std::size_t>(a.numel())) == 0;
+}
+
+/** Every layer's view reads exactly what keys()/values() copy out. */
+void
+expectViewsMatchCopies(const KvCache &cache, std::int64_t layers)
+{
+    for (std::int64_t l = 0; l < layers; ++l) {
+        const KvLayerView view = cache.view(l);
+        EXPECT_EQ(view.length, cache.keys(l).dim(1));
+        EXPECT_TRUE(bitIdentical(gather(view, view.k, cache.batch()),
+                                 cache.keys(l)))
+            << "layer " << l;
+        EXPECT_TRUE(bitIdentical(gather(view, view.v, cache.batch()),
+                                 cache.values(l)))
+            << "layer " << l;
+    }
+}
 
 TEST_F(KvCacheTest, LengthAdvancesAfterLastLayer)
 {
@@ -59,6 +113,61 @@ TEST_F(KvCacheTest, MidStepReadsIncludePendingTokens)
     const Tensor k = cache.keys(0);
     EXPECT_EQ(k.dim(1), 4);
     EXPECT_EQ(k.at(0, 3, 0), 2.0f);
+}
+
+TEST_F(KvCacheTest, ViewLengthIncludesPendingTokensOnAppendedLayers)
+{
+    appendAllLayers(3, 1.0f);
+    cache.append(0, filled(2, 2.0f), filled(2, 3.0f));
+    cache.append(1, filled(2, 2.0f), filled(2, 3.0f));
+
+    // Layers 0 and 1 already hold this step's two tokens; layers 2 and
+    // 3 have not been appended yet.
+    const KvLayerView v0 = cache.view(0);
+    EXPECT_EQ(v0.length, 5);
+    EXPECT_EQ(cache.view(1).length, 5);
+    EXPECT_EQ(cache.view(2).length, 3);
+    EXPECT_EQ(cache.view(3).length, 3);
+    EXPECT_EQ(v0.rowStride, m.kvDim());
+    EXPECT_EQ(v0.batchStride, 32 * m.kvDim());
+    // The pending token reads in place through the strides.
+    EXPECT_EQ(v0.k[1 * v0.batchStride + 4 * v0.rowStride + 7], 2.0f);
+    EXPECT_EQ(v0.v[1 * v0.batchStride + 4 * v0.rowStride + 7], 3.0f);
+    EXPECT_EQ(v0.k[1 * v0.batchStride + 2 * v0.rowStride + 7], 1.0f);
+    expectViewsMatchCopies(cache, m.numLayers);
+
+    cache.append(2, filled(2, 2.0f), filled(2, 3.0f));
+    cache.append(3, filled(2, 2.0f), filled(2, 3.0f));
+    EXPECT_EQ(cache.view(3).length, 5);
+    EXPECT_EQ(cache.length(), 5);
+}
+
+TEST_F(KvCacheTest, ViewMatchesCopiesAcrossCacheOperations)
+{
+    appendRandom(cache, 5);
+    appendRandom(cache, 1);
+    expectViewsMatchCopies(cache, m.numLayers);
+
+    cache.truncate(4);
+    expectViewsMatchCopies(cache, m.numLayers);
+    appendRandom(cache, 2);
+    expectViewsMatchCopies(cache, m.numLayers);
+
+    KvCache target(m, 2, 32);
+    appendRandom(target, 3);
+    ASSERT_TRUE(target.preload(cache.snapshotRange(1, 6)));
+    EXPECT_EQ(target.view(0).length, 8);
+    expectViewsMatchCopies(target, m.numLayers);
+
+    const Tensor keys = cache.keys(2);
+    const Tensor values = cache.values(2);
+    KvSnapshot parked = cache.evict();
+    EXPECT_EQ(cache.view(2).length, 0);
+    ASSERT_TRUE(cache.restore(parked));
+    expectViewsMatchCopies(cache, m.numLayers);
+    const KvLayerView view = cache.view(2);
+    EXPECT_TRUE(bitIdentical(gather(view, view.k, 2), keys));
+    EXPECT_TRUE(bitIdentical(gather(view, view.v, 2), values));
 }
 
 TEST_F(KvCacheTest, ValuesAndKeysStoredSeparately)
@@ -154,6 +263,21 @@ TEST_F(KvCacheTest, EvictedCacheRemainsUsableForRecompute)
     appendAllLayers(3, 4.0f);
     EXPECT_EQ(cache.length(), 3);
     EXPECT_EQ(cache.keys(0).at(0, 2, 0), 4.0f);
+}
+
+TEST_F(KvCacheTest, NeverWrittenCacheEvictsAndRestoresEmpty)
+{
+    // A cache holds no storage before its first write; evicting it
+    // still yields a full-geometry snapshot that restores cleanly.
+    EXPECT_EQ(cache.view(0).length, 0);
+    EXPECT_EQ(cache.view(0).k, nullptr);
+    KvSnapshot snapshot = cache.evict();
+    EXPECT_FALSE(snapshot.empty());
+    EXPECT_EQ(snapshot.length, 0);
+    ASSERT_TRUE(cache.restore(snapshot));
+    EXPECT_EQ(cache.length(), 0);
+    appendAllLayers(2, 3.0f);
+    EXPECT_EQ(cache.keys(3).at(1, 1, 0), 3.0f);
 }
 
 TEST_F(KvCacheTest, RestoreIntoAnOccupiedCacheFailsCleanly)
