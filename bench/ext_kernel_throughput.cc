@@ -24,7 +24,10 @@
  * facts (shapes, thread counts, bit-identity, packed byte counts,
  * assert outcomes) and is byte-stable run to run — CI cmp's it.
  * BENCH_kernel_throughput_timing.json holds the wall-clock numbers
- * (GFLOP/s, tokens/s, dispatch latencies) keyed the same way.
+ * (GFLOP/s, tokens/s, dispatch latencies) keyed the same way, plus
+ * the kernel tier CPUID selected (sse2 or avx512-vnni), which is a
+ * fact of the host rather than of the code and so stays out of the
+ * deterministic artifact.
  */
 
 #include <algorithm>
@@ -166,7 +169,8 @@ main()
     std::cout << "Kernel throughput: packed/blocked fp32 + int8 "
                  "parallel matmul vs scalar references\n"
               << "(host threads available: "
-              << base::ThreadPool::defaultThreadCount() << ")\n\n";
+              << base::ThreadPool::defaultThreadCount()
+              << ", kernel tier: " << activeKernelTier().name << ")\n\n";
 
     const KernelOptions scalarOpts{false, nullptr};
     std::vector<Point> points;
@@ -446,6 +450,8 @@ main()
     {
         std::ostringstream json;
         json << "{\n  \"bench\": \"kernel_throughput_timing\",\n"
+             << "  \"kernel_tier\": \"" << activeKernelTier().name
+             << "\",\n"
              << "  \"default_threads\": "
              << base::ThreadPool::defaultThreadCount() << ",\n"
              << "  \"points\": [\n";

@@ -1,5 +1,7 @@
 #include "base/args.hh"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
 
 #include "base/logging.hh"
@@ -47,13 +49,42 @@ ArgParser::getString(const std::string &name,
     return it == options_.end() ? fallback : it->second;
 }
 
+namespace {
+
+/**
+ * Parse all of @p text with @p parse (a strtoll/strtod wrapper), or
+ * exit through LIA_FATAL naming the option: a value that is not
+ * wholly a number of the wanted kind must not silently become 0.
+ */
+template <typename T, typename Parse>
+T
+parseWhole(const std::string &name, const std::string &text,
+           const char *kind, const Parse &parse)
+{
+    const char *begin = text.c_str();
+    char *end = nullptr;
+    errno = 0;
+    const T value = parse(begin, &end);
+    if (std::isspace(static_cast<unsigned char>(text.front())) ||
+        end == begin || *end != '\0' || errno == ERANGE) {
+        LIA_FATAL("option --", name, " wants ", kind, ", got \"", text,
+                  "\"");
+    }
+    return value;
+}
+
+} // namespace
+
 std::int64_t
 ArgParser::getInt(const std::string &name, std::int64_t fallback) const
 {
     const auto it = options_.find(name);
     if (it == options_.end() || it->second.empty())
         return fallback;
-    return std::strtoll(it->second.c_str(), nullptr, 10);
+    return parseWhole<std::int64_t>(
+        name, it->second, "an integer", [](const char *s, char **end) {
+            return std::strtoll(s, end, 10);
+        });
 }
 
 double
@@ -62,7 +93,10 @@ ArgParser::getDouble(const std::string &name, double fallback) const
     const auto it = options_.find(name);
     if (it == options_.end() || it->second.empty())
         return fallback;
-    return std::strtod(it->second.c_str(), nullptr);
+    return parseWhole<double>(name, it->second, "a number",
+                              [](const char *s, char **end) {
+                                  return std::strtod(s, end);
+                              });
 }
 
 } // namespace lia

@@ -30,11 +30,18 @@ class ArgParser
     std::string getString(const std::string &name,
                           const std::string &fallback = "") const;
 
-    /** Integer option value or @p fallback. */
+    /**
+     * Integer option value or @p fallback. A value that is not wholly
+     * a base-10 integer (`--requests=abc`, `--batch=8x`, `--lin=1.5`)
+     * or overflows exits through LIA_FATAL naming the option.
+     */
     std::int64_t getInt(const std::string &name,
                         std::int64_t fallback) const;
 
-    /** Floating-point option value or @p fallback. */
+    /**
+     * Floating-point option value or @p fallback; a value strtod
+     * cannot parse whole exits through LIA_FATAL naming the option.
+     */
     double getDouble(const std::string &name, double fallback) const;
 
     /** Positional arguments in order. */

@@ -17,10 +17,11 @@ namespace {
 thread_local bool tlsInsideWorker = false;
 
 /**
- * Spin budgets (iterations of cpuRelax, roughly a nanosecond each).
- * Workers wait up to ~20-50us for the next low-latency job — several
- * decode-GEMV dispatch periods — before parking; the caller waits a
- * smaller budget for stragglers of the loop it just helped drain.
+ * Spin budgets, in iterations of cpuRelax. One x86 `pause` measured
+ * ~25 ns on an AVX-512 Xeon (Sapphire Rapids class; older cores take
+ * ~5-10 ns), so workers wait up to ~0.8 ms (1 << 15 pauses) for the
+ * next low-latency job before parking, and the caller waits up to
+ * ~0.4 ms (1 << 14) for stragglers of the loop it just helped drain.
  * Both are bounded: an expired budget falls back to the blocking
  * protocol, so an idle pool always ends up parked on the condition
  * variable exactly as before. On a single-core host both budgets are

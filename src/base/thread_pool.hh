@@ -13,8 +13,8 @@
  * Sizing: an explicit constructor argument wins; zero means "use the
  * process default", which honours the LIA_THREADS environment variable
  * and falls back to std::thread::hardware_concurrency(). A shared
- * process-wide pool (ThreadPool::shared()) exists so batch-of-one
- * decode calls all reuse one set of workers instead of spawning per
+ * process-wide pool (ThreadPool::shared()) exists so every decode and
+ * prefill pass reuses one set of workers instead of spawning per
  * call.
  *
  * Nested parallelFor calls (a parallel kernel invoked from inside a

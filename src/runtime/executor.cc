@@ -29,8 +29,9 @@ CooperativeExecutor::CooperativeExecutor(const hw::SystemConfig &system,
                "bad resident layer count");
 
     // Construction-time pool injection: every kernel this executor
-    // runs — batch prefill/decode and the serving backend's per-call
-    // decodeOne stream alike — shares one set of persistent workers.
+    // runs — batch prefill/decode and the serving backend's per-
+    // iteration decodeBatch pass alike — shares one set of persistent
+    // workers.
     kernelOpts_.pool = config_.pool != nullptr
                            ? config_.pool.get()
                            : &base::ThreadPool::shared();
@@ -103,26 +104,39 @@ CooperativeExecutor::resetStats()
 
 Tensor
 CooperativeExecutor::embed(const std::vector<std::int64_t> &flat_tokens,
-                           std::int64_t batch, std::int64_t tokens,
-                           std::int64_t position)
+                           std::span<KvCache *const> caches,
+                           std::int64_t tokens)
 {
     const auto &cfg = weights_.config;
-    Tensor hidden({batch * tokens, cfg.dModel});
     const std::int64_t d = cfg.dModel;
+    std::vector<std::int64_t> positions;  // first position of each row
+    for (const KvCache *cache : caches)
+        positions.insert(positions.end(),
+                         static_cast<std::size_t>(cache->batch()),
+                         cache->length());
+    const auto rows = static_cast<std::int64_t>(positions.size());
+    LIA_ASSERT(static_cast<std::int64_t>(flat_tokens.size()) ==
+                   rows * tokens,
+               "embed: ", flat_tokens.size(), " tokens for ", rows,
+               " rows of ", tokens);
+    Tensor hidden({rows * tokens, d});
     const float *emb = weights_.embedding.data();
     const float *pos_emb = weights_.posEmbedding.data();
     float *out = hidden.data();
     // Row-partitioned gather: each (b, t) row is written by exactly
-    // one chunk, so the result is thread-count invariant.
+    // one chunk, so the result is thread-count invariant. A row is d
+    // adds, so decode-sized gathers (n <= grain) run inline.
+    const std::int64_t grain = std::max<std::int64_t>(1, 16384 / d);
     kernelOpts_.pool->parallelFor(
-        batch * tokens, 4, [&](std::int64_t r0, std::int64_t r1) {
+        rows * tokens, grain, [&](std::int64_t r0, std::int64_t r1) {
             for (std::int64_t r = r0; r < r1; ++r) {
-                const std::int64_t t = r % tokens;
                 const std::int64_t tok =
                     flat_tokens[static_cast<std::size_t>(r)];
                 LIA_ASSERT(tok >= 0 && tok < cfg.vocabSize,
                            "token id out of range: ", tok);
-                const std::int64_t pos = position + t;
+                const std::int64_t pos =
+                    positions[static_cast<std::size_t>(r / tokens)] +
+                    r % tokens;
                 LIA_ASSERT(pos < cfg.maxSeqLen, "position overflow");
                 const float *erow = emb + tok * d;
                 const float *prow = pos_emb + pos * d;
@@ -188,18 +202,27 @@ CooperativeExecutor::chargeSublayer(int index, Stage stage,
 }
 
 Tensor
-CooperativeExecutor::forwardLayers(KvCache &cache, Tensor hidden,
-                                   Stage stage, std::int64_t batch,
+CooperativeExecutor::forwardLayers(std::span<KvCache *const> caches,
+                                   Tensor hidden, Stage stage,
                                    std::int64_t tokens)
 {
     const auto &cfg = weights_.config;
     const Policy &policy = stage == Stage::Prefill
                                ? config_.prefillPolicy
                                : config_.decodePolicy;
-    // Context length the attention sublayers operate on, including the
-    // tokens this step appends (decode — and a chunked prefill
+    // Context each cache's attention sublayers operate on, including
+    // the tokens this step appends (decode — and a chunked prefill
     // extending existing history — read the grown cache).
-    const std::int64_t context = cache.length() + tokens;
+    std::vector<std::int64_t> contexts;
+    std::int64_t rows = 0;
+    for (const KvCache *cache : caches) {
+        contexts.push_back(cache->length() + tokens);
+        rows += cache->batch();
+    }
+    LIA_ASSERT(hidden.dim(0) == rows * tokens,
+               "hidden rows ", hidden.dim(0), " != ", rows, " x ", tokens);
+    const std::int64_t kv_step = tokens * cfg.kvDim();
+    std::vector<KvLayerView> views(static_cast<std::size_t>(rows));
 
     // Per-tensor dispatch over the placement pack() decided: the int8
     // tile kernel where an int8 pack exists, the fp32 packed kernel
@@ -213,7 +236,6 @@ CooperativeExecutor::forwardLayers(KvCache &cache, Tensor hidden,
 
     for (std::int64_t l = 0; l < cfg.numLayers; ++l) {
         const auto &w = weights_.layers[static_cast<std::size_t>(l)];
-        const bool resident = l < config_.residentLayers;
 
         // Sublayer 1: QKV mapping (pre-LN). Weight matmuls run the
         // packed-tile kernel against the forms cached at pack() time.
@@ -222,21 +244,23 @@ CooperativeExecutor::forwardLayers(KvCache &cache, Tensor hidden,
         Tensor q = project(normed, w.packedWq, w.int8Wq, w.bq);
         Tensor k = project(normed, w.packedWk, w.int8Wk, w.bk);
         Tensor v = project(normed, w.packedWv, w.int8Wv, w.bv);
-        cache.append(l, k.reshaped({batch, tokens, cfg.kvDim()}),
-                     v.reshaped({batch, tokens, cfg.kvDim()}));
-        chargeSublayer(0, stage, batch, context, resident, policy);
+        // Each cache takes its rows of K and V straight out of the
+        // projection outputs, and shows attention one view per row.
+        std::int64_t row = 0;
+        for (KvCache *cache : caches) {
+            cache->append(l, k.data() + row * kv_step,
+                          v.data() + row * kv_step, tokens);
+            for (std::int64_t b = 0; b < cache->batch(); ++b, ++row)
+                views[static_cast<std::size_t>(row)] = cache->view(l, b);
+        }
 
-        // Sublayers 2+3: attention reading the cache in place.
-        Tensor attn = attention(q, cache.view(l), batch, tokens,
-                                cfg.numHeads, cfg.kvHeads, cfg.headDim,
-                                kernelOpts_);
-        chargeSublayer(1, stage, batch, context, resident, policy);
-        chargeSublayer(2, stage, batch, context, resident, policy);
+        // Sublayers 2+3: attention reading the caches in place.
+        Tensor attn = attention(q, views, tokens, cfg.numHeads,
+                                cfg.kvHeads, cfg.headDim, kernelOpts_);
 
         // Sublayer 4: output projection + residual.
         Tensor proj = project(attn, w.packedWo, w.int8Wo, w.bo);
         hidden = add(hidden, proj, kernelOpts_);
-        chargeSublayer(3, stage, batch, context, resident, policy);
 
         // Sublayers 5+6: FFN + residual. OPT uses ReLU; Llama-style
         // models gate the up projection with SiLU (SwiGLU).
@@ -250,10 +274,20 @@ CooperativeExecutor::forwardLayers(KvCache &cache, Tensor hidden,
         } else {
             reluInPlace(h1, kernelOpts_);
         }
-        chargeSublayer(4, stage, batch, context, resident, policy);
         Tensor h2 = project(h1, w.packedW2, w.int8W2, w.b2);
         hidden = add(hidden, h2, kernelOpts_);
-        chargeSublayer(5, stage, batch, context, resident, policy);
+    }
+
+    // Charge cache by cache, layer by layer, sublayer by sublayer: the
+    // order sequential per-cache passes record in, so the ledger's and
+    // devices' floating-point sums come out the same.
+    for (std::size_t c = 0; c < caches.size(); ++c) {
+        for (std::int64_t l = 0; l < cfg.numLayers; ++l) {
+            const bool resident = l < config_.residentLayers;
+            for (int i = 0; i < model::kNumSublayers; ++i)
+                chargeSublayer(i, stage, caches[c]->batch(), contexts[c],
+                               resident, policy);
+        }
     }
     return hidden;
 }
@@ -311,9 +345,10 @@ CooperativeExecutor::prefill(
     for (const auto &p : prompts)
         flat.insert(flat.end(), p.begin(), p.end());
 
-    Tensor hidden = embed(flat, batch, tokens, 0);
-    hidden = forwardLayers(*cache_, std::move(hidden), Stage::Prefill,
-                           batch, tokens);
+    KvCache *const caches[] = {cache_.get()};
+    Tensor hidden = embed(flat, caches, tokens);
+    hidden = forwardLayers(caches, std::move(hidden), Stage::Prefill,
+                           tokens);
     return sample(hidden, batch, tokens);
 }
 
@@ -321,13 +356,10 @@ std::vector<std::int64_t>
 CooperativeExecutor::decodeStep(const std::vector<std::int64_t> &tokens)
 {
     LIA_ASSERT(cache_ != nullptr, "prefill must run first");
-    const auto batch = static_cast<std::int64_t>(tokens.size());
-    LIA_ASSERT(batch == cache_->batch(), "batch mismatch");
-
-    Tensor hidden = embed(tokens, batch, 1, cache_->length());
-    hidden = forwardLayers(*cache_, std::move(hidden), Stage::Decode,
-                           batch, 1);
-    return sample(hidden, batch, 1);
+    LIA_ASSERT(static_cast<std::int64_t>(tokens.size()) == cache_->batch(),
+               "batch mismatch");
+    KvCache *const caches[] = {cache_.get()};
+    return decodeBatch(caches, tokens);
 }
 
 std::int64_t
@@ -338,9 +370,10 @@ CooperativeExecutor::prefillChunk(
                "per-sequence prefill wants a batch-1 cache");
     LIA_ASSERT(!tokens.empty(), "empty prefill chunk");
     const auto count = static_cast<std::int64_t>(tokens.size());
-    Tensor hidden = embed(tokens, 1, count, cache.length());
-    hidden = forwardLayers(cache, std::move(hidden), Stage::Prefill,
-                           1, count);
+    KvCache *const caches[] = {&cache};
+    Tensor hidden = embed(tokens, caches, count);
+    hidden = forwardLayers(caches, std::move(hidden), Stage::Prefill,
+                           count);
     return sample(hidden, 1, count).front();
 }
 
@@ -349,11 +382,26 @@ CooperativeExecutor::decodeOne(KvCache &cache, std::int64_t token)
 {
     LIA_ASSERT(cache.batch() == 1,
                "per-sequence decode wants a batch-1 cache");
-    LIA_ASSERT(cache.length() > 0, "decode against an empty cache");
-    Tensor hidden = embed({token}, 1, 1, cache.length());
-    hidden = forwardLayers(cache, std::move(hidden), Stage::Decode,
-                           1, 1);
-    return sample(hidden, 1, 1).front();
+    KvCache *const caches[] = {&cache};
+    return decodeBatch(caches, {token}).front();
+}
+
+std::vector<std::int64_t>
+CooperativeExecutor::decodeBatch(std::span<KvCache *const> caches,
+                                 const std::vector<std::int64_t> &tokens)
+{
+    LIA_ASSERT(!caches.empty(), "decode batch without sequences");
+    std::int64_t rows = 0;
+    for (const KvCache *cache : caches) {
+        LIA_ASSERT(cache->length() > 0, "decode against an empty cache");
+        rows += cache->batch();
+    }
+    LIA_ASSERT(static_cast<std::int64_t>(tokens.size()) == rows,
+               "decode batch feeds ", tokens.size(), " tokens to ", rows,
+               " rows");
+    Tensor hidden = embed(tokens, caches, 1);
+    hidden = forwardLayers(caches, std::move(hidden), Stage::Decode, 1);
+    return sample(hidden, rows, 1);
 }
 
 std::vector<std::int64_t>
@@ -394,9 +442,10 @@ CooperativeExecutor::verifyBatch(KvCache &cache,
     feed.push_back(last_token);
     feed.insert(feed.end(), drafts.begin(), drafts.end());
 
-    Tensor hidden = embed(feed, 1, k + 1, base);
-    hidden = forwardLayers(cache, std::move(hidden), Stage::Decode,
-                           1, k + 1);
+    KvCache *const caches[] = {&cache};
+    Tensor hidden = embed(feed, caches, k + 1);
+    hidden = forwardLayers(caches, std::move(hidden), Stage::Decode,
+                           k + 1);
     const std::vector<std::int64_t> samples = sampleAll(hidden, k + 1);
 
     SpeculativeVerify out;

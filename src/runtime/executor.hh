@@ -19,6 +19,7 @@
 #define LIA_RUNTIME_EXECUTOR_HH
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/policy.hh"
@@ -56,8 +57,8 @@ struct ExecutorConfig
         model::WeightPrecision::Bf16;
     /**
      * Pool the kernels run on; injected at construction so every
-     * prefill/decode call — including the serving backend's
-     * batch-of-one decodeOne stream — reuses one set of persistent
+     * prefill/decode call — including the serving backend's one
+     * decodeBatch pass per iteration — reuses one set of persistent
      * workers. Null selects the process-wide shared pool. Thread
      * count never changes results (DESIGN.md §7).
      */
@@ -140,6 +141,22 @@ class CooperativeExecutor
     std::int64_t decodeOne(KvCache &cache, std::int64_t token);
 
     /**
+     * One decode step of many sequences in one forward pass: feed
+     * @p tokens — one per batch row of @p caches, each cache's rows in
+     * order — and return the next token of each row. Every projection,
+     * LayerNorm and the LM head run once at m = rows; each row embeds
+     * at its own position, appends its KV to its own cache, and
+     * attends over its own (ragged) context. Rows are independent in
+     * every kernel (DESIGN.md §6), so row i's token is bit-identical
+     * to a decodeOne of that sequence alone, and the ledger is charged
+     * per cache at its own context, in cache order, exactly as
+     * sequential decodeOne calls charge it.
+     */
+    std::vector<std::int64_t>
+    decodeBatch(std::span<KvCache *const> caches,
+                const std::vector<std::int64_t> &tokens);
+
+    /**
      * Score @p drafts (k proposed tokens) in one batched decode pass
      * feeding [@p last_token, d1..dk-1] — k+1 positions — and sample
      * every position. Greedy accept: the longest prefix where draft i
@@ -176,16 +193,20 @@ class CooperativeExecutor
     }
 
   private:
-    /** Run all decoder layers over (B*T, d) hidden states against
-     *  @p cache (appending this step's KV). */
-    Tensor forwardLayers(KvCache &cache, Tensor hidden,
-                         model::Stage stage, std::int64_t batch,
-                         std::int64_t tokens);
+    /**
+     * The one forward layer loop: run every decoder layer over the
+     * (rows * tokens, d) hidden states of @p caches' batch rows (each
+     * cache's rows in order, rows b-major), appending this step's KV
+     * to each cache, then charge each cache's sublayers at its own
+     * context.
+     */
+    Tensor forwardLayers(std::span<KvCache *const> caches, Tensor hidden,
+                         model::Stage stage, std::int64_t tokens);
 
-    /** Gather embeddings for one step. */
+    /** Gather embeddings for one step: row r of cache c sits at
+     *  position c.length() + t. */
     Tensor embed(const std::vector<std::int64_t> &flat_tokens,
-                 std::int64_t batch, std::int64_t tokens,
-                 std::int64_t position);
+                 std::span<KvCache *const> caches, std::int64_t tokens);
 
     /** Project hidden states to logits and sample the next tokens. */
     std::vector<std::int64_t> sample(const Tensor &hidden,

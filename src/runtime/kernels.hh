@@ -21,6 +21,8 @@
 #ifndef LIA_RUNTIME_KERNELS_HH
 #define LIA_RUNTIME_KERNELS_HH
 
+#include <span>
+
 #include "base/thread_pool.hh"
 #include "runtime/tensor.hh"
 
@@ -173,12 +175,12 @@ Tensor scalarMatmulTransposed(const Tensor &a, const Tensor &b,
 /**
  * C = quant(A) x B8 (+ bias) against an int8-packed operand: dynamic
  * per-row activation quantization, int32 accumulation, fused dequant
- * into the fp32 output. Dispatches a register-blocked tile microkernel
- * for GEMM shapes and a wide fused dequant-GEMV for m < 4 decode rows,
- * the latter on the pool's low-latency path so a decode stream stops
- * paying the worker wake/park round trip per matmul. Quantized
- * numerics differ from fp32 by design; against scalarMatmulInt8 the
- * result is bit-identical at any thread count.
+ * into the fp32 output. The active kernel tier supplies a wide fused
+ * dequant-GEMV for m < 4 decode rows and register-blocked tiles for
+ * m >= 4; loops are sized by work, so decode shapes run inline or on
+ * the pool's low-latency path. Quantized numerics differ from fp32 by
+ * design; against scalarMatmulInt8 the result is bit-identical at any
+ * thread count and on every tier.
  */
 Tensor matmulInt8(const Tensor &a, const PackedInt8Matrix &b,
                   const Tensor &bias, const KernelOptions &opts = {});
@@ -193,6 +195,43 @@ Tensor scalarMatmulInt8(const Tensor &a, const PackedInt8Matrix &b,
                         const Tensor &bias,
                         const KernelOptions &opts = {});
 
+/**
+ * One instruction-set tier of the matmul kernels (DESIGN.md §7): its
+ * entry points, with the same contracts as matmulPacked, matmulInt8
+ * and the activation quantizer of scalarMatmulInt8. Every tier is
+ * bit-identical to the scalar references; tiers differ only in speed.
+ * matmulPacked/matmulInt8 run activeKernelTier(). The property suites
+ * call each tier here directly, so every tier the host can run is
+ * tested whichever one is active.
+ */
+struct KernelTier
+{
+    const char *name;
+    Tensor (*matmulPacked)(const Tensor &a, const PackedMatrix &b,
+                           const Tensor &bias, const KernelOptions &opts);
+    Tensor (*matmulInt8)(const Tensor &a, const PackedInt8Matrix &b,
+                         const Tensor &bias, const KernelOptions &opts);
+    /**
+     * Quantize one activation row of @p k floats into @p out (2 *
+     * ceil(k / 2) bytes, arriving zeroed); returns the row scale.
+     */
+    float (*quantizeRowInt8)(const float *row, std::int64_t k,
+                             std::int8_t *out);
+};
+
+/** The SSE2 tier (portable scalar code on non-x86 builds). */
+const KernelTier &sse2KernelTier();
+
+/**
+ * The AVX-512 BW+VL+VNNI tier, or nullptr when this build or this
+ * host's CPUID lacks it.
+ */
+const KernelTier *avx512KernelTier();
+
+/** The tier the kernels run on: the widest one CPUID allows, chosen
+ *  once per process. */
+const KernelTier &activeKernelTier();
+
 /** Row-wise softmax over the last axis of a 2-D tensor. */
 void softmaxRows(Tensor &t, const KernelOptions &opts = {});
 
@@ -204,34 +243,37 @@ void causalSoftmaxRows(Tensor &t, std::int64_t offset,
                        const KernelOptions &opts = {});
 
 /**
- * Causal multi-head attention reading K and V in place from a cache
- * layer. Query row (b, t) of head h attends to the first
- * `kv.length - tokens + t + 1` tokens of batch row b, using KV head
+ * Causal multi-head attention reading K and V in place, one cache view
+ * per batch row — a batch-B cache contributes B views of itself, and
+ * a decode batch over B sequences one view of each, so contexts may be
+ * ragged. Query row (b, t) of head h attends to the first
+ * `kv[b].length - tokens + t + 1` tokens of view b, using KV head
  * h / (heads / kvHeads) (grouped-query attention when kvHeads <
- * heads). Parallel over (batch, head); each head runs scalarAttention's
+ * heads). Parallel over (row, head); each head runs scalarAttention's
  * float operations in its order — QK^T dot products k-ascending from
  * 0, BF16 rounding then scaling of the scores, the causal softmax and
  * its rounding, S·V accumulated j-ascending into zeroed rows and its
  * rounding — so the result is bit-identical to it at any thread count.
  *
- * @param q   (batch * tokens, heads * headDim), rows (b, t) b-major
- * @param kv  the layer's view; its length includes this step's tokens
- * @return    (batch * tokens, heads * headDim)
+ * @param q   (kv.size() * tokens, heads * headDim), rows (b, t)
+ *            b-major
+ * @param kv  one view per batch row; each length includes this step's
+ *            tokens
+ * @return    (kv.size() * tokens, heads * headDim)
  */
-Tensor attention(const Tensor &q, const KvLayerView &kv,
-                 std::int64_t batch, std::int64_t tokens,
-                 std::int64_t heads, std::int64_t kvHeads,
-                 std::int64_t headDim, const KernelOptions &opts = {});
+Tensor attention(const Tensor &q, std::span<const KvLayerView> kv,
+                 std::int64_t tokens, std::int64_t heads,
+                 std::int64_t kvHeads, std::int64_t headDim,
+                 const KernelOptions &opts = {});
 
 /**
- * Retained single-thread reference of attention(): per head, copy Q, K
- * and V out into dense tensors, then compose matmulTransposed, the
- * score scaling, causalSoftmaxRows and matmul.
+ * Retained single-thread reference of attention(): per row and head,
+ * copy Q, K and V out into dense tensors, then compose
+ * matmulTransposed, the score scaling, causalSoftmaxRows and matmul.
  */
-Tensor scalarAttention(const Tensor &q, const KvLayerView &kv,
-                       std::int64_t batch, std::int64_t tokens,
-                       std::int64_t heads, std::int64_t kvHeads,
-                       std::int64_t headDim,
+Tensor scalarAttention(const Tensor &q, std::span<const KvLayerView> kv,
+                       std::int64_t tokens, std::int64_t heads,
+                       std::int64_t kvHeads, std::int64_t headDim,
                        const KernelOptions &opts = {});
 
 /** LayerNorm over the last axis with learned gain/bias (both (n)). */

@@ -38,16 +38,6 @@ copyBatchRows(float *dst, std::int64_t dst_stride, const float *src,
                     sizeof(float) * static_cast<std::size_t>(count));
 }
 
-/** Compact (B, length, kvDim) copy of one side (K or V) of a view. */
-Tensor
-copyView(const KvLayerView &view, const float *side, std::int64_t batch)
-{
-    Tensor out({batch, view.length, view.rowStride});
-    const std::int64_t row = view.length * view.rowStride;
-    copyBatchRows(out.data(), row, side, view.batchStride, batch, row);
-    return out;
-}
-
 } // namespace
 
 bool
@@ -173,29 +163,35 @@ KvCache::allocate()
 void
 KvCache::append(std::int64_t layer, const Tensor &k, const Tensor &v)
 {
-    LIA_ASSERT(layer == nextLayer_,
-               "layers must append in order; expected ", nextLayer_,
-               " got ", layer);
     LIA_ASSERT(k.ndim() == 3 && v.ndim() == 3, "KV must be 3-D");
     LIA_ASSERT(k.dim(0) == batch_ && v.dim(0) == batch_,
                "KV batch mismatch");
     LIA_ASSERT(k.dim(2) == config_.kvDim() &&
                v.dim(2) == config_.kvDim(), "KV width mismatch");
-    const std::int64_t t = k.dim(1);
-    LIA_ASSERT(v.dim(1) == t, "K/V token count mismatch");
-    LIA_ASSERT(length_ + t <= maxLen_, "KV cache overflow");
+    LIA_ASSERT(v.dim(1) == k.dim(1), "K/V token count mismatch");
+    append(layer, k.data(), v.data(), k.dim(1));
+}
+
+void
+KvCache::append(std::int64_t layer, const float *k, const float *v,
+                std::int64_t tokens)
+{
+    LIA_ASSERT(layer == nextLayer_,
+               "layers must append in order; expected ", nextLayer_,
+               " got ", layer);
+    LIA_ASSERT(length_ + tokens <= maxLen_, "KV cache overflow");
     if (layer == 0)
-        pendingTokens_ = t;
-    LIA_ASSERT(t == pendingTokens_,
+        pendingTokens_ = tokens;
+    LIA_ASSERT(tokens == pendingTokens_,
                "inconsistent token count across layers");
     allocate();
 
     const std::int64_t kv = config_.kvDim();
     const std::int64_t at = length_ * kv;
     copyBatchRows(keys_[static_cast<std::size_t>(layer)].data() + at,
-                  maxLen_ * kv, k.data(), t * kv, batch_, t * kv);
+                  maxLen_ * kv, k, tokens * kv, batch_, tokens * kv);
     copyBatchRows(values_[static_cast<std::size_t>(layer)].data() + at,
-                  maxLen_ * kv, v.data(), t * kv, batch_, t * kv);
+                  maxLen_ * kv, v, tokens * kv, batch_, tokens * kv);
 
     ++nextLayer_;
     if (nextLayer_ == config_.numLayers) {
@@ -206,31 +202,45 @@ KvCache::append(std::int64_t layer, const Tensor &k, const Tensor &v)
 }
 
 KvLayerView
-KvCache::view(std::int64_t layer) const
+KvCache::view(std::int64_t layer, std::int64_t row) const
 {
     LIA_ASSERT(layer >= 0 && layer < config_.numLayers, "bad layer");
+    LIA_ASSERT(row >= 0 && row < batch_, "bad batch row ", row);
     const auto l = static_cast<std::size_t>(layer);
     const std::int64_t kv = config_.kvDim();
     if (keys_.empty())
-        return {nullptr, nullptr, 0, kv, maxLen_ * kv};  // never written
+        return {nullptr, nullptr, 0, kv};  // never written
     // Layers appended earlier in this step already hold its tokens.
     const std::int64_t len =
         length_ + (layer < nextLayer_ ? pendingTokens_ : 0);
-    return {keys_[l].data(), values_[l].data(), len, kv, maxLen_ * kv};
+    const std::int64_t at = row * maxLen_ * kv;
+    return {keys_[l].data() + at, values_[l].data() + at, len, kv};
 }
 
 Tensor
 KvCache::keys(std::int64_t layer) const
 {
-    const KvLayerView lv = view(layer);
-    return copyView(lv, lv.k, batch_);
+    return copyLayer(layer, keys_);
 }
 
 Tensor
 KvCache::values(std::int64_t layer) const
 {
+    return copyLayer(layer, values_);
+}
+
+Tensor
+KvCache::copyLayer(std::int64_t layer, const std::vector<Tensor> &side) const
+{
     const KvLayerView lv = view(layer);
-    return copyView(lv, lv.v, batch_);
+    Tensor out({batch_, lv.length, lv.rowStride});
+    if (side.empty())
+        return out;
+    const std::int64_t row = lv.length * lv.rowStride;
+    copyBatchRows(out.data(), row,
+                  side[static_cast<std::size_t>(layer)].data(),
+                  maxLen_ * lv.rowStride, batch_, row);
+    return out;
 }
 
 KvSnapshot

@@ -68,18 +68,17 @@ struct KvSnapshot
 };
 
 /**
- * Read-only view of one layer's K and V in place in a KvCache. Token i
- * of batch row b starts at `k + b * batchStride + i * rowStride`
- * (likewise for v) and holds rowStride floats. The view stays valid
- * until the cache is next appended to, evicted or restored.
+ * Read-only view of one batch row of one layer's K and V, in place in
+ * a KvCache. Token i starts at `k + i * rowStride` (likewise for v)
+ * and holds rowStride floats. The view stays valid until the cache is
+ * next appended to, evicted or restored.
  */
 struct KvLayerView
 {
     const float *k = nullptr;
     const float *v = nullptr;
-    std::int64_t length = 0;       //!< tokens readable per batch row
+    std::int64_t length = 0;       //!< tokens readable
     std::int64_t rowStride = 0;    //!< floats per token (kvDim)
-    std::int64_t batchStride = 0;  //!< floats per batch row (maxLen * kvDim)
 };
 
 /** Growing K/V storage for all layers of one batch. */
@@ -101,18 +100,27 @@ class KvCache
      */
     void append(std::int64_t layer, const Tensor &k, const Tensor &v);
 
+    /**
+     * append() through row pointers: @p tokens tokens of every batch
+     * row, read as (B, tokens, kvDim) floats from @p k and @p v. A
+     * batched decode writes each sequence's K/V row straight out of
+     * the shared projection output this way.
+     */
+    void append(std::int64_t layer, const float *k, const float *v,
+                std::int64_t tokens);
+
     /** Context length currently stored. */
     std::int64_t length() const { return length_; }
 
     std::int64_t batch() const { return batch_; }
 
     /**
-     * In-place view of layer @p layer. Mid-step, a layer already
-     * appended this step also shows this step's tokens, so its
-     * attention sees the KV it has just written. A cache holding no
-     * storage yields null pointers and length 0.
+     * In-place view of batch row @p row of layer @p layer. Mid-step,
+     * a layer already appended this step also shows this step's
+     * tokens, so its attention sees the KV it has just written. A
+     * cache holding no storage yields null pointers and length 0.
      */
-    KvLayerView view(std::int64_t layer) const;
+    KvLayerView view(std::int64_t layer, std::int64_t row = 0) const;
 
     /** Copy of view(layer)'s keys: (B, length, kvDim). */
     Tensor keys(std::int64_t layer) const;
@@ -181,6 +189,11 @@ class KvCache
   private:
     /** Allocate zeroed storage on first write (none until then). */
     void allocate();
+
+    /** Compact (B, length, kvDim) copy of one side (K or V) of a
+     *  layer. */
+    Tensor copyLayer(std::int64_t layer,
+                     const std::vector<Tensor> &side) const;
 
     model::ModelConfig config_;
     std::int64_t batch_;

@@ -30,9 +30,9 @@ synthWeights(const model::ModelConfig &model, std::uint64_t seed)
 }
 
 /**
- * Every backend shares the process-wide kernel pool: the scheduler
- * emits thousands of batch-of-one prefillChunk/decodeOne calls per
- * run, and reusing one set of persistent workers (instead of any
+ * Every backend shares the process-wide kernel pool: a run issues
+ * thousands of prefillChunk calls and one decodeBatch pass per
+ * iteration, and reusing one set of persistent workers (instead of any
  * per-call spawning) keeps that stream cheap. Non-owning — the shared
  * pool outlives every executor.
  */
@@ -456,6 +456,9 @@ RuntimeBackend::onPlan(const IterationPlan &plan,
         }
     }
 
+    std::vector<std::size_t> decoding;
+    std::vector<runtime::KvCache *> decodeCaches;
+    std::vector<std::int64_t> decodeFeed;
     for (std::size_t i = 0; i < plan.decode.size(); ++i) {
         const std::size_t index = plan.decode[i];
         const Request &request = requests[index];
@@ -503,27 +506,48 @@ RuntimeBackend::onPlan(const IterationPlan &plan,
                    "engine counts ", request.generated,
                    " generated tokens for request ", request.id,
                    " but the backend holds ", seq.outputs.size());
-        const std::int64_t next =
-            executor_.decodeOne(*seq.cache, seq.outputs.back());
-        seq.outputs.push_back(next);
-        ddrBytes_ += perToken;
-        ++counters_.decodeSteps;
         LIA_ASSERT(seq.cache->length() ==
                        request.lIn +
                            static_cast<std::int64_t>(
                                seq.outputs.size()) - 1,
-                   "decode KV length diverged for request ", request.id);
-        if (optimistic) {
-            // The scheduler grew the reservation by exactly this
-            // step's token before committing the plan.
-            LIA_ASSERT(sameBytes(seq.cache->bf16Bytes(),
-                                 request.kvReservedBytes),
-                       "decode: cache ", seq.cache->bf16Bytes(),
-                       " bytes vs reservation ", request.kvReservedBytes);
-        } else {
-            LIA_ASSERT(seq.cache->bf16Bytes() <=
-                           request.kvReservedBytes + 0.5,
-                       "cache grew past the full-horizon reservation");
+                   "decode of request ", request.id,
+                   " starts from a diverged KV length");
+        decoding.push_back(index);
+        decodeCaches.push_back(seq.cache.get());
+        decodeFeed.push_back(seq.outputs.back());
+    }
+
+    // Every non-speculative decode of the iteration runs as one
+    // forward pass at m = B (DESIGN.md §6): the batch the scheduler
+    // priced as one m = B GEMM is the batch the kernels execute.
+    if (!decoding.empty()) {
+        const std::vector<std::int64_t> next =
+            executor_.decodeBatch(decodeCaches, decodeFeed);
+        for (std::size_t i = 0; i < decoding.size(); ++i) {
+            const Request &request = requests[decoding[i]];
+            Sequence &seq = sequence(request.id);
+            seq.outputs.push_back(next[i]);
+            ddrBytes_ += perToken;
+            ++counters_.decodeSteps;
+            LIA_ASSERT(seq.cache->length() ==
+                           request.lIn +
+                               static_cast<std::int64_t>(
+                                   seq.outputs.size()) - 1,
+                       "decode KV length diverged for request ",
+                       request.id);
+            if (optimistic) {
+                // The scheduler grew the reservation by exactly this
+                // step's token before committing the plan.
+                LIA_ASSERT(sameBytes(seq.cache->bf16Bytes(),
+                                     request.kvReservedBytes),
+                           "decode: cache ", seq.cache->bf16Bytes(),
+                           " bytes vs reservation ",
+                           request.kvReservedBytes);
+            } else {
+                LIA_ASSERT(seq.cache->bf16Bytes() <=
+                               request.kvReservedBytes + 0.5,
+                           "cache grew past the full-horizon reservation");
+            }
         }
     }
 

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "base/args.hh"
+#include "base/logging.hh"
 
 namespace {
 
@@ -71,6 +75,56 @@ TEST(ArgParserTest, LastOccurrenceWins)
 {
     const auto args = parse({"prog", "--b", "1", "--b", "2"});
     EXPECT_EQ(args.getInt("b", 0), 2);
+}
+
+/** The LIA_FATAL message getInt/getDouble raise, or "" if none. */
+template <typename Get>
+std::string
+fatalMessage(const Get &get)
+{
+    lia::detail::setThrowOnError(true);
+    std::string message;
+    try {
+        get();
+    } catch (const std::runtime_error &error) {
+        message = error.what();
+    }
+    lia::detail::setThrowOnError(false);
+    return message;
+}
+
+TEST(ArgParserTest, NonNumericIntegerIsFatalAndNamesTheOption)
+{
+    const auto args = parse({"prog", "--requests=abc"});
+    const std::string message =
+        fatalMessage([&] { return args.getInt("requests", 7); });
+    EXPECT_NE(message.find("--requests"), std::string::npos) << message;
+    EXPECT_NE(message.find("\"abc\""), std::string::npos) << message;
+}
+
+TEST(ArgParserTest, PartlyNumericValuesAreFatal)
+{
+    const auto args = parse({"prog", "--batch", "8x", "--lin=1.5",
+                             "--rate", "2.5/s", "--big",
+                             "99999999999999999999", "--pad", " 4"});
+    EXPECT_NE(fatalMessage([&] { return args.getInt("batch", 0); }), "");
+    EXPECT_NE(fatalMessage([&] { return args.getInt("lin", 0); }), "");
+    EXPECT_NE(fatalMessage([&] { return args.getDouble("rate", 0); }),
+              "");
+    EXPECT_NE(fatalMessage([&] { return args.getInt("big", 0); }), "");
+    EXPECT_NE(fatalMessage([&] { return args.getInt("pad", 0); }), "");
+}
+
+TEST(ArgParserTest, WhollyNumericValuesParse)
+{
+    const auto args = parse({"prog", "--seed=-3", "--rate", "1e3",
+                             "--slo", "-0.25", "--n", "+12"});
+    EXPECT_EQ(args.getInt("seed", 0), -3);
+    EXPECT_DOUBLE_EQ(args.getDouble("rate", 0), 1000.0);
+    EXPECT_DOUBLE_EQ(args.getDouble("slo", 0), -0.25);
+    EXPECT_EQ(args.getInt("n", 0), 12);
+    // A number-valued option read as a double stays a double.
+    EXPECT_DOUBLE_EQ(args.getDouble("seed", 0), -3.0);
 }
 
 } // namespace

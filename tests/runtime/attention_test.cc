@@ -3,14 +3,16 @@
  * Property suite for the fused in-place attention kernel (DESIGN.md
  * §7).
  *
- * attention() reads K and V in place through a KvLayerView and must
- * equal scalarAttention() — the retained copy-then-compose reference
- * — bit for bit (memcmp), at pools of 1, 2 and 4 threads. Random
- * scenarios cover batch, the step's token count (1 for decode, k+1
- * for a speculative verify, chunk-sized for prefill), the history
- * already cached, slack capacity past the live tokens, head counts
- * including grouped-query attention (kvHeads < heads), and BF16
- * rounding on and off.
+ * attention() reads K and V in place through one KvLayerView per batch
+ * row and must equal scalarAttention() — the retained
+ * copy-then-compose reference — bit for bit (memcmp), at pools of 1, 2
+ * and 4 threads. Random scenarios cover batch, the step's token count
+ * (1 for decode, k+1 for a speculative verify, chunk-sized for
+ * prefill), the history already cached — one shared length or a
+ * different one per row, as a batched decode over many sequences
+ * sees — slack capacity past the live tokens, head counts including
+ * grouped-query attention (kvHeads < heads), and BF16 rounding on and
+ * off.
  *
  * Scenario count scales with LIA_PROPERTY_SCENARIOS like the other
  * property suites.
@@ -69,23 +71,44 @@ contractPools()
     return pools;
 }
 
-/** One attention call: queries plus a strided K/V store to view. */
+/**
+ * One attention call: queries plus a strided K/V store per batch row,
+ * each row with its own history and slack.
+ */
 struct Scenario
 {
-    std::int64_t batch = 1, tokens = 1, history = 0, slack = 0;
+    std::int64_t batch = 1, tokens = 1;
     std::int64_t heads = 1, kvHeads = 1, headDim = 1;
+    std::vector<std::int64_t> history, slack;  //!< per batch row
     bool round = true;
     Tensor q;
-    std::vector<float> k, v;  //!< (batch, maxLen, kvHeads * headDim)
+    std::vector<std::vector<float>> k, v;  //!< per row (maxLen, kvDim)
 
-    std::int64_t maxLen() const { return history + tokens + slack; }
-
-    KvLayerView
-    view() const
+    std::int64_t
+    maxLen(std::int64_t b) const
     {
-        const std::int64_t kvDim = kvHeads * headDim;
-        return {k.data(), v.data(), history + tokens, kvDim,
-                maxLen() * kvDim};
+        const auto i = static_cast<std::size_t>(b);
+        return history[i] + tokens + slack[i];
+    }
+
+    std::vector<KvLayerView>
+    views() const
+    {
+        std::vector<KvLayerView> out;
+        for (std::int64_t b = 0; b < batch; ++b) {
+            const auto i = static_cast<std::size_t>(b);
+            out.push_back({k[i].data(), v[i].data(),
+                           history[i] + tokens, kvHeads * headDim});
+        }
+        return out;
+    }
+
+    /** Same history and slack on every row. */
+    void
+    uniform(std::int64_t hist, std::int64_t spare)
+    {
+        history.assign(static_cast<std::size_t>(batch), hist);
+        slack.assign(static_cast<std::size_t>(batch), spare);
     }
 
     void
@@ -93,13 +116,18 @@ struct Scenario
     {
         q = Tensor::randomNormal({batch * tokens, heads * headDim}, rng,
                                  1.0);
-        const auto n = static_cast<std::size_t>(batch * maxLen() *
-                                                kvHeads * headDim);
-        k.resize(n);
-        v.resize(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            k[i] = static_cast<float>(rng.normal(0.0, 1.0));
-            v[i] = static_cast<float>(rng.normal(0.0, 1.0));
+        k.assign(static_cast<std::size_t>(batch), {});
+        v.assign(static_cast<std::size_t>(batch), {});
+        for (std::int64_t b = 0; b < batch; ++b) {
+            const auto i = static_cast<std::size_t>(b);
+            const auto n =
+                static_cast<std::size_t>(maxLen(b) * kvHeads * headDim);
+            k[i].resize(n);
+            v[i].resize(n);
+            for (std::size_t e = 0; e < n; ++e) {
+                k[i][e] = static_cast<float>(rng.normal(0.0, 1.0));
+                v[i][e] = static_cast<float>(rng.normal(0.0, 1.0));
+            }
         }
     }
 };
@@ -117,8 +145,20 @@ randomScenario(std::mt19937_64 &gen, Rng &rng)
     case 1: s.tokens = pick(1, 8) + 1; break;         // verify k+1
     default: s.tokens = pick(0, 1) ? 32 : 64; break;  // prefill chunk
     }
-    s.history = pick(0, 3) == 0 ? 0 : pick(1, 120);
-    s.slack = pick(0, 1) ? 0 : pick(1, 9);
+    const auto history = [&pick] {
+        return pick(0, 3) == 0 ? 0 : pick(1, 120);
+    };
+    const auto slack = [&pick] { return pick(0, 1) ? 0 : pick(1, 9); };
+    if (pick(0, 1) == 0) {
+        s.uniform(history(), slack());
+    } else {
+        // Ragged: every row its own context, as in a batched decode.
+        s.batch = pick(2, 8);
+        for (std::int64_t b = 0; b < s.batch; ++b) {
+            s.history.push_back(history());
+            s.slack.push_back(slack());
+        }
+    }
     s.kvHeads = pick(1, 3);
     s.heads = s.kvHeads * pick(1, 3);  // GQA when the group is > 1
     s.headDim = pick(0, 2) == 0 ? pick(1, 9) : 8 * pick(1, 4);
@@ -130,16 +170,15 @@ randomScenario(std::mt19937_64 &gen, Rng &rng)
 Tensor
 runFused(const Scenario &s, const KernelOptions &opts)
 {
-    return attention(s.q, s.view(), s.batch, s.tokens, s.heads,
-                     s.kvHeads, s.headDim, opts);
+    return attention(s.q, s.views(), s.tokens, s.heads, s.kvHeads,
+                     s.headDim, opts);
 }
 
 Tensor
 runReference(const Scenario &s)
 {
-    return scalarAttention(s.q, s.view(), s.batch, s.tokens, s.heads,
-                           s.kvHeads, s.headDim,
-                           KernelOptions{s.round, nullptr});
+    return scalarAttention(s.q, s.views(), s.tokens, s.heads, s.kvHeads,
+                           s.headDim, KernelOptions{s.round, nullptr});
 }
 
 TEST(AttentionProperty, FusedMatchesScalarReferenceBitForBit)
@@ -154,9 +193,10 @@ TEST(AttentionProperty, FusedMatchesScalarReferenceBitForBit)
             ASSERT_TRUE(bitIdentical(
                 runFused(s, KernelOptions{s.round, pool.get()}), ref))
                 << "scenario " << it << ": batch " << s.batch
-                << " tokens " << s.tokens << " history " << s.history
-                << " heads " << s.heads << "/" << s.kvHeads << "x"
-                << s.headDim << " bf16 " << s.round << " at "
+                << " tokens " << s.tokens << " history[0] "
+                << s.history.front() << " heads " << s.heads << "/"
+                << s.kvHeads << "x" << s.headDim << " bf16 " << s.round
+                << " at "
                 << pool->threadCount() << " threads";
         }
     }
@@ -171,12 +211,12 @@ TEST(AttentionProperty, MaskedNonFiniteValuesPropagateAsInTheReference)
     Scenario s;
     s.batch = 1;
     s.tokens = 4;
-    s.history = 3;
+    s.uniform(3, 0);
     s.heads = 2;
     s.kvHeads = 1;
     s.headDim = 8;
     s.fill(rng);
-    s.v[static_cast<std::size_t>((s.history + 2) * s.headDim + 1)] =
+    s.v[0][static_cast<std::size_t>((3 + 2) * s.headDim + 1)] =
         std::numeric_limits<float>::infinity();
     const Tensor ref = runReference(s);
     EXPECT_TRUE(std::isnan(ref.at(0, 1)));
@@ -202,22 +242,65 @@ TEST(AttentionProperty, ReadsTheCacheInPlaceMidStep)
     const std::int64_t tokens = 3;
     cache.append(0, randomKv(tokens), randomKv(tokens));
 
-    const KvLayerView view = cache.view(0);
-    ASSERT_EQ(view.length, 14);
+    const std::vector<KvLayerView> views{cache.view(0, 0),
+                                         cache.view(0, 1)};
+    ASSERT_EQ(views[0].length, 14);
+    ASSERT_EQ(views[1].length, 14);
     const Tensor q =
         Tensor::randomNormal({batch * tokens, m.dModel}, rng, 1.0);
     const Tensor keys = cache.keys(0);
     const Tensor values = cache.values(0);
-    const KvLayerView copies{keys.data(), values.data(), 14, m.kvDim(),
-                             14 * m.kvDim()};
+    const std::int64_t row = 14 * m.kvDim();
+    const std::vector<KvLayerView> copies{
+        {keys.data(), values.data(), 14, m.kvDim()},
+        {keys.data() + row, values.data() + row, 14, m.kvDim()}};
     const Tensor ref =
-        scalarAttention(q, copies, batch, tokens, m.numHeads, m.kvHeads,
+        scalarAttention(q, copies, tokens, m.numHeads, m.kvHeads,
                         m.headDim, KernelOptions{});
     for (const auto &pool : contractPools())
         EXPECT_TRUE(bitIdentical(
-            attention(q, view, batch, tokens, m.numHeads, m.kvHeads,
-                      m.headDim, KernelOptions{true, pool.get()}),
+            attention(q, views, tokens, m.numHeads, m.kvHeads, m.headDim,
+                      KernelOptions{true, pool.get()}),
             ref));
+}
+
+TEST(AttentionProperty, RaggedRowsMatchOneRowAtATime)
+{
+    // A batched decode's rows attend over different context lengths.
+    // Each output row must equal attention over that row's view alone:
+    // rows never see each other's lengths or keys.
+    Rng rng(17);
+    Scenario s;
+    s.batch = 5;
+    s.tokens = 1;
+    s.history = {0, 7, 130, 1, 64};
+    s.slack = {3, 0, 5, 0, 1};
+    s.heads = 4;
+    s.kvHeads = 2;
+    s.headDim = 32;
+    s.fill(rng);
+    const std::vector<KvLayerView> views = s.views();
+    const std::int64_t d = s.heads * s.headDim;
+    for (const auto &pool : contractPools()) {
+        const KernelOptions opts{true, pool.get()};
+        const Tensor batched = attention(s.q, views, 1, s.heads,
+                                         s.kvHeads, s.headDim, opts);
+        ASSERT_TRUE(bitIdentical(batched, runReference(s)));
+        for (std::int64_t b = 0; b < s.batch; ++b) {
+            Tensor qb({1, d});
+            std::memcpy(qb.data(), s.q.data() + b * d,
+                        sizeof(float) * static_cast<std::size_t>(d));
+            const Tensor alone = attention(
+                qb, std::span<const KvLayerView>(&views[b], 1), 1,
+                s.heads, s.kvHeads, s.headDim, opts);
+            EXPECT_EQ(std::memcmp(alone.data(), batched.data() + b * d,
+                                  sizeof(float) *
+                                      static_cast<std::size_t>(d)),
+                      0)
+                << "row " << b << " at " << pool->threadCount()
+                << " threads";
+        }
+    }
 }
 
 TEST(AttentionProperty, ShapeMismatchPanics)
@@ -226,25 +309,30 @@ TEST(AttentionProperty, ShapeMismatchPanics)
     Scenario s;
     s.batch = 2;
     s.tokens = 2;
-    s.history = 1;
+    s.uniform(1, 0);
     s.heads = 4;
     s.kvHeads = 2;
     s.headDim = 8;
     s.fill(rng);
     detail::setThrowOnError(true);
     // Query width disagrees with heads * headDim.
-    EXPECT_THROW(attention(s.q, s.view(), s.batch, s.tokens, 2,
+    EXPECT_THROW(attention(s.q, s.views(), s.tokens, 2, s.kvHeads,
+                           s.headDim),
+                 std::logic_error);
+    // More step tokens than one row's view holds.
+    std::vector<KvLayerView> shortViews = s.views();
+    shortViews[1].length = 1;
+    EXPECT_THROW(attention(s.q, shortViews, s.tokens, s.heads,
                            s.kvHeads, s.headDim),
                  std::logic_error);
-    // More step tokens than the view holds.
-    KvLayerView shortView = s.view();
-    shortView.length = 1;
-    EXPECT_THROW(attention(s.q, shortView, s.batch, s.tokens, s.heads,
-                           s.kvHeads, s.headDim),
+    // Query rows disagree with the number of views.
+    const std::vector<KvLayerView> views = s.views();
+    EXPECT_THROW(attention(s.q, std::span<const KvLayerView>(views.data(), 1),
+                           s.tokens, s.heads, s.kvHeads, s.headDim),
                  std::logic_error);
     // Heads not a multiple of the KV heads.
-    EXPECT_THROW(scalarAttention(s.q, s.view(), s.batch, s.tokens,
-                                 s.heads, 3, s.headDim),
+    EXPECT_THROW(scalarAttention(s.q, s.views(), s.tokens, s.heads, 3,
+                                 s.headDim),
                  std::logic_error);
     detail::setThrowOnError(false);
 }

@@ -6,9 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-
+#include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include "base/logging.hh"
 #include "base/rng.hh"
@@ -175,6 +176,31 @@ TEST(ReluTest, ClampsNegatives)
     EXPECT_EQ(t.at(1), 2.0f);
     EXPECT_EQ(t.at(2), 0.0f);
     EXPECT_EQ(t.at(3), 0.0f);
+}
+
+TEST(ReluTest, EdgeValuesMatchStdMaxBitForBit)
+{
+    // The vector path must keep std::max(x, 0.0f)'s answer for every
+    // input: -0 and NaN pass through unchanged, BF16 rounding on or off.
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    const std::vector<float> in{-0.0f, nan,    -1.0f,   2.0f,  -inf,
+                                inf,   1e-45f, -1e-45f, 0.0f,  -nan,
+                                3.25f, -7.5f,  1e30f};
+    for (const bool round : {false, true}) {
+        Tensor t({static_cast<std::int64_t>(in.size())});
+        std::memcpy(t.data(), in.data(), sizeof(float) * in.size());
+        reluInPlace(t, KernelOptions{round});
+        for (std::size_t i = 0; i < in.size(); ++i) {
+            Tensor want({1});
+            want.at(0) = std::max(in[i], 0.0f);
+            if (round)
+                want.roundBf16();
+            EXPECT_EQ(std::memcmp(&want.at(0), t.data() + i, sizeof(float)),
+                      0)
+                << "element " << i << " bf16 " << round;
+        }
+    }
 }
 
 TEST(AddTest, ElementwiseSum)

@@ -55,16 +55,20 @@ class KvCacheTest : public ::testing::Test
     Rng rng{17};
 };
 
-/** Gather a view's K or V through its strides: (B, length, kvDim). */
+/** Gather layer @p layer's K (or V) through its per-row views:
+ *  (B, length, kvDim). */
 Tensor
-gather(const KvLayerView &view, const float *base, std::int64_t batch)
+gather(const KvCache &cache, std::int64_t layer, bool values)
 {
-    Tensor out({batch, view.length, view.rowStride});
-    for (std::int64_t b = 0; b < batch; ++b)
+    const KvLayerView first = cache.view(layer);
+    Tensor out({cache.batch(), first.length, first.rowStride});
+    for (std::int64_t b = 0; b < cache.batch(); ++b) {
+        const KvLayerView view = cache.view(layer, b);
+        const float *base = values ? view.v : view.k;
         for (std::int64_t i = 0; i < view.length; ++i)
             for (std::int64_t c = 0; c < view.rowStride; ++c)
-                out.at(b, i, c) =
-                    base[b * view.batchStride + i * view.rowStride + c];
+                out.at(b, i, c) = base[i * view.rowStride + c];
+    }
     return out;
 }
 
@@ -84,10 +88,10 @@ expectViewsMatchCopies(const KvCache &cache, std::int64_t layers)
     for (std::int64_t l = 0; l < layers; ++l) {
         const KvLayerView view = cache.view(l);
         EXPECT_EQ(view.length, cache.keys(l).dim(1));
-        EXPECT_TRUE(bitIdentical(gather(view, view.k, cache.batch()),
+        EXPECT_TRUE(bitIdentical(gather(cache, l, false),
                                  cache.keys(l)))
             << "layer " << l;
-        EXPECT_TRUE(bitIdentical(gather(view, view.v, cache.batch()),
+        EXPECT_TRUE(bitIdentical(gather(cache, l, true),
                                  cache.values(l)))
             << "layer " << l;
     }
@@ -129,11 +133,14 @@ TEST_F(KvCacheTest, ViewLengthIncludesPendingTokensOnAppendedLayers)
     EXPECT_EQ(cache.view(2).length, 3);
     EXPECT_EQ(cache.view(3).length, 3);
     EXPECT_EQ(v0.rowStride, m.kvDim());
-    EXPECT_EQ(v0.batchStride, 32 * m.kvDim());
+    // Batch row 1 starts one row capacity (32 tokens) past row 0.
+    const KvLayerView r1 = cache.view(0, 1);
+    EXPECT_EQ(r1.k - v0.k, 32 * m.kvDim());
+    EXPECT_EQ(r1.length, 5);
     // The pending token reads in place through the strides.
-    EXPECT_EQ(v0.k[1 * v0.batchStride + 4 * v0.rowStride + 7], 2.0f);
-    EXPECT_EQ(v0.v[1 * v0.batchStride + 4 * v0.rowStride + 7], 3.0f);
-    EXPECT_EQ(v0.k[1 * v0.batchStride + 2 * v0.rowStride + 7], 1.0f);
+    EXPECT_EQ(r1.k[4 * r1.rowStride + 7], 2.0f);
+    EXPECT_EQ(r1.v[4 * r1.rowStride + 7], 3.0f);
+    EXPECT_EQ(r1.k[2 * r1.rowStride + 7], 1.0f);
     expectViewsMatchCopies(cache, m.numLayers);
 
     cache.append(2, filled(2, 2.0f), filled(2, 3.0f));
@@ -165,9 +172,8 @@ TEST_F(KvCacheTest, ViewMatchesCopiesAcrossCacheOperations)
     EXPECT_EQ(cache.view(2).length, 0);
     ASSERT_TRUE(cache.restore(parked));
     expectViewsMatchCopies(cache, m.numLayers);
-    const KvLayerView view = cache.view(2);
-    EXPECT_TRUE(bitIdentical(gather(view, view.k, 2), keys));
-    EXPECT_TRUE(bitIdentical(gather(view, view.v, 2), values));
+    EXPECT_TRUE(bitIdentical(gather(cache, 2, false), keys));
+    EXPECT_TRUE(bitIdentical(gather(cache, 2, true), values));
 }
 
 TEST_F(KvCacheTest, ValuesAndKeysStoredSeparately)
