@@ -5,7 +5,7 @@
  * thread counts, plus a decode-GEMV (m = 1) study of the fused int8
  * dequant-GEMV and the thread pool's low-latency dispatch path.
  *
- * Real measured host performance (not modeled). Three sections:
+ * Real measured host performance (not modeled). Four sections:
  *
  *  1. fp32 GEMM sweep: prefill- and decode-shaped GEMMs through the
  *     packed-tile parallel kernel at 1/2/4/8 threads, each verified
@@ -19,12 +19,17 @@
  *     stats from the pool's ParallelObserver hook. Hard asserts:
  *     int8 fused >= 1.5x fp32 tokens/s single-thread, and the
  *     low-latency multi-thread path never loses to single-thread.
+ *  4. attention per kernel tier, single-thread, on the serving
+ *     models' heads (4 x 32): decode batches and 128-token prefill
+ *     chunks over growing contexts. Hard assert: every tier's output
+ *     memcmp-equals scalarAttention on every timed configuration.
  *
  * Artifacts: BENCH_kernel_throughput.json holds only deterministic
  * facts (shapes, thread counts, bit-identity, packed byte counts,
  * assert outcomes) and is byte-stable run to run — CI cmp's it.
  * BENCH_kernel_throughput_timing.json holds the wall-clock numbers
- * (GFLOP/s, tokens/s, dispatch latencies) keyed the same way, plus
+ * (GFLOP/s, tokens/s, dispatch latencies, attention times) keyed the
+ * same way, plus
  * the kernel tier CPUID selected (sse2 or avx512-vnni), which is a
  * fact of the host rather than of the code and so stays out of the
  * deterministic artifact.
@@ -49,6 +54,7 @@
 #include "model/config.hh"
 #include "runtime/executor.hh"
 #include "runtime/kernels.hh"
+#include "runtime/kv_cache.hh"
 
 namespace {
 
@@ -150,6 +156,27 @@ pointKey(const Point &p)
         << "\", \"threads\": " << p.threads;
     return out.str();
 }
+
+/** One attention configuration: a decode batch or a prefill chunk. */
+struct AttentionShape
+{
+    std::int64_t batch, tokens, length;  //!< length includes tokens
+    const char *kind;
+};
+
+const std::vector<AttentionShape> kAttentionShapes = {
+    {3, 1, 250, "decode"},    {8, 1, 300, "decode"},
+    {1, 128, 128, "prefill"}, {1, 128, 512, "prefill"},
+    {1, 128, 1000, "prefill"},
+};
+
+struct AttentionPoint
+{
+    AttentionShape shape{};
+    const char *tier = "";
+    double usPerCall = 0;
+    double speedupVsSse2 = 1.0;
+};
 
 struct GemvPoint
 {
@@ -386,6 +413,68 @@ main()
                "low-latency multi-thread decode GEMV lost to "
                "single-thread: ", assert_multi_vs_one);
 
+    // --- Section 4: attention per kernel tier ------------------------
+    //
+    // Single-thread, so the numbers are the tier's kernel alone. Each
+    // tier the host runs is timed, and each must equal scalarAttention
+    // bit for bit on every configuration it is timed on.
+    std::cout << "\nAttention per kernel tier (4 heads x 32, BF16, "
+                 "one thread)\n\n";
+    TextTable atable({"kind", "batch", "tokens", "length", "tier",
+                      "us/call", "vs sse2", "exact"});
+    std::vector<const KernelTier *> tiers{&sse2KernelTier()};
+    if (avx512KernelTier() != nullptr)
+        tiers.push_back(avx512KernelTier());
+    std::vector<AttentionPoint> attentionPoints;
+    constexpr std::int64_t kHeads = 4, kHeadDim = 32;
+    constexpr std::int64_t kWidth = kHeads * kHeadDim;
+    const KernelOptions attentionOpts{true, nullptr};
+    for (const AttentionShape &s : kAttentionShapes) {
+        Rng rng(31 + s.length);
+        const Tensor q = Tensor::randomNormal(
+            {s.batch * s.tokens, kWidth}, rng, 1.0);
+        const std::size_t cache =
+            static_cast<std::size_t>(s.length * kWidth);
+        std::vector<std::vector<float>> k(
+            static_cast<std::size_t>(s.batch), std::vector<float>(cache));
+        std::vector<std::vector<float>> v = k;
+        std::vector<KvLayerView> views;
+        for (std::size_t b = 0; b < k.size(); ++b) {
+            for (std::size_t e = 0; e < cache; ++e) {
+                k[b][e] = static_cast<float>(rng.normal(0.0, 1.0));
+                v[b][e] = static_cast<float>(rng.normal(0.0, 1.0));
+            }
+            views.push_back({k[b].data(), v[b].data(), s.length, kWidth});
+        }
+        const Tensor ref = scalarAttention(q, views, s.tokens, kHeads,
+                                           kHeads, kHeadDim,
+                                           attentionOpts);
+        double sse2_us = 0;
+        for (const KernelTier *tier : tiers) {
+            const auto run = [&] {
+                return tier->attention(q, views, s.tokens, kHeads, kHeads,
+                                       kHeadDim, attentionOpts);
+            };
+            LIA_ASSERT(bitIdentical(run(), ref), "attention on the ",
+                       tier->name, " tier diverged from scalarAttention at ",
+                       s.kind, " batch ", s.batch, " length ", s.length);
+            AttentionPoint p;
+            p.shape = s;
+            p.tier = tier->name;
+            p.usPerCall = 1e6 * timeIt([&] { run(); });
+            if (tier == &sse2KernelTier())
+                sse2_us = p.usPerCall;
+            p.speedupVsSse2 = sse2_us / p.usPerCall;
+            atable.addRow({s.kind, std::to_string(s.batch),
+                           std::to_string(s.tokens),
+                           std::to_string(s.length), tier->name,
+                           fmtDouble(p.usPerCall, 1),
+                           fmtDouble(p.speedupVsSse2, 2), "yes"});
+            attentionPoints.push_back(p);
+        }
+    }
+    atable.print(std::cout);
+
     // End-to-end greedy decode on the differential-test model: the
     // wall-clock the differential suite pays per forward, so kernel
     // regressions are visible next to the GEMM numbers.
@@ -472,7 +561,19 @@ main()
              << "\"int8_fused_vs_fp32_x1_large\": "
              << assert_int8_vs_fp32
              << ", \"int8_multi_vs_x1_large\": " << assert_multi_vs_one
-             << "},\n"
+             << "},\n  \"attention_points\": [\n";
+        for (std::size_t i = 0; i < attentionPoints.size(); ++i) {
+            const AttentionPoint &p = attentionPoints[i];
+            json << "    {\"kind\": \"" << p.shape.kind
+                 << "\", \"batch\": " << p.shape.batch
+                 << ", \"tokens\": " << p.shape.tokens
+                 << ", \"length\": " << p.shape.length
+                 << ", \"tier\": \"" << p.tier
+                 << "\", \"us_per_call\": " << p.usPerCall
+                 << ", \"speedup_vs_sse2\": " << p.speedupVsSse2 << "}"
+                 << (i + 1 < attentionPoints.size() ? ",\n" : "\n");
+        }
+        json << "  ],\n"
              << "  \"decode_e2e\": {\"model\": \"" << m.name
              << "\", \"tokens_per_s\": " << tokens_per_s
              << ", \"seconds_per_generate\": " << gen_s << "}\n}\n";

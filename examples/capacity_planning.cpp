@@ -10,9 +10,9 @@
  * Usage: capacity_planning [l_in] [l_out] [slo_seconds]
  */
 
-#include <cstdlib>
 #include <iostream>
 
+#include "base/args.hh"
 #include "base/table.hh"
 #include "core/capacity_planner.hh"
 #include "hw/system.hh"
@@ -46,16 +46,11 @@ main(int argc, char **argv)
     using core::CapacityPlanner;
     using core::PlannerRequest;
 
+    const ArgParser args(argc, argv, "[l_in] [l_out] [slo_seconds]");
     PlannerRequest request;
-    request.lIn = 256;
-    request.lOut = 32;
-    double slo = 30.0;
-    if (argc > 1)
-        request.lIn = std::atoll(argv[1]);
-    if (argc > 2)
-        request.lOut = std::atoll(argv[2]);
-    if (argc > 3)
-        slo = std::atof(argv[3]);
+    request.lIn = args.positionalNumber<std::int64_t>(0, "l_in", 256);
+    request.lOut = args.positionalNumber<std::int64_t>(1, "l_out", 32);
+    const double slo = args.positionalNumber(2, "slo_seconds", 30.0);
 
     const auto sys = hw::withCxl(hw::sprA100());
     const auto m = model::opt30b();

@@ -13,9 +13,9 @@
  * Usage: offline_batch_cxl [l_in] [l_out]
  */
 
-#include <cstdlib>
 #include <iostream>
 
+#include "base/args.hh"
 #include "baselines/presets.hh"
 #include "base/table.hh"
 #include "hw/system.hh"
@@ -28,12 +28,11 @@ main(int argc, char **argv)
     using namespace lia;
     using core::Scenario;
 
-    std::int64_t l_in = 32;
-    std::int64_t l_out = 32;
-    if (argc > 1)
-        l_in = std::atoll(argv[1]);
-    if (argc > 2)
-        l_out = std::atoll(argv[2]);
+    const ArgParser args(argc, argv, "[l_in] [l_out]");
+    const std::int64_t l_in =
+        args.positionalNumber<std::int64_t>(0, "l_in", 32);
+    const std::int64_t l_out =
+        args.positionalNumber<std::int64_t>(1, "l_out", 32);
 
     const auto plain = hw::sprA100();
     const auto cxl = hw::withCxl(plain);

@@ -45,16 +45,13 @@ main(int argc, char **argv)
     using namespace lia;
     using core::Scenario;
 
-    const ArgParser args(argc, argv);
-    const auto &pos = args.positional();
-    const std::size_t requests =
-        pos.size() > 0
-            ? static_cast<std::size_t>(std::atoll(pos[0].c_str()))
-            : 40;
-    const std::uint64_t seed =
-        pos.size() > 1
-            ? static_cast<std::uint64_t>(std::atoll(pos[1].c_str()))
-            : 7;
+    const ArgParser args(argc, argv,
+                         "[num_requests] [seed] [--trace-out trace.json] "
+                         "[--metrics-out metrics.prom]");
+    const auto requests = static_cast<std::size_t>(
+        args.positionalNumber<std::int64_t>(0, "num_requests", 40));
+    const auto seed = static_cast<std::uint64_t>(
+        args.positionalNumber<std::int64_t>(1, "seed", 7));
     const std::string trace_out = args.getString("trace-out");
     const std::string metrics_out = args.getString("metrics-out");
 

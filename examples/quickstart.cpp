@@ -11,9 +11,9 @@
  * Usage: quickstart [batch] [l_in] [l_out]
  */
 
-#include <cstdlib>
 #include <iostream>
 
+#include "base/args.hh"
 #include "baselines/presets.hh"
 #include "base/table.hh"
 #include "hw/system.hh"
@@ -25,13 +25,10 @@ main(int argc, char **argv)
     using namespace lia;
     using core::Scenario;
 
-    Scenario sc{1, 512, 32};
-    if (argc > 1)
-        sc.batch = std::atoll(argv[1]);
-    if (argc > 2)
-        sc.lIn = std::atoll(argv[2]);
-    if (argc > 3)
-        sc.lOut = std::atoll(argv[3]);
+    const ArgParser args(argc, argv, "[batch] [l_in] [l_out]");
+    Scenario sc{args.positionalNumber<std::int64_t>(0, "batch", 1),
+                args.positionalNumber<std::int64_t>(1, "l_in", 512),
+                args.positionalNumber<std::int64_t>(2, "l_out", 32)};
 
     const auto sys = hw::sprH100();
     const auto m = model::opt66b();

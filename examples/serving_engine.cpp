@@ -48,18 +48,18 @@ main(int argc, char **argv)
 {
     using namespace lia;
 
-    const ArgParser args(argc, argv);
-    const auto &pos = args.positional();
-    const std::size_t requests =
-        pos.size() > 0
-            ? static_cast<std::size_t>(std::atoll(pos[0].c_str()))
-            : 120;
+    const ArgParser args(argc, argv,
+                         "[requests] [arrivals_per_min] [seed] "
+                         "[--trace-out trace.json] "
+                         "[--series-out series.json] "
+                         "[--metrics-out metrics.prom] "
+                         "[--blame-out blame.json]");
+    const auto requests = static_cast<std::size_t>(
+        args.positionalNumber<std::int64_t>(0, "requests", 120));
     const double per_minute =
-        pos.size() > 1 ? std::atof(pos[1].c_str()) : 30.0;
-    const std::uint64_t seed =
-        pos.size() > 2
-            ? static_cast<std::uint64_t>(std::atoll(pos[2].c_str()))
-            : 1;
+        args.positionalNumber(1, "arrivals_per_min", 30.0);
+    const auto seed = static_cast<std::uint64_t>(
+        args.positionalNumber<std::int64_t>(2, "seed", 1));
     const std::string trace_out = args.getString("trace-out");
     const std::string series_out = args.getString("series-out");
     const std::string metrics_out = args.getString("metrics-out");

@@ -11,10 +11,10 @@
  * Usage: serving_queue [requests] [seed]
  */
 
-#include <cstdlib>
 #include <iostream>
 #include <map>
 
+#include "base/args.hh"
 #include "base/table.hh"
 #include "baselines/presets.hh"
 #include "hw/system.hh"
@@ -27,12 +27,11 @@ main(int argc, char **argv)
     using namespace lia;
     using core::Scenario;
 
-    std::size_t requests = 150;
-    std::uint64_t seed = 3;
-    if (argc > 1)
-        requests = static_cast<std::size_t>(std::atoll(argv[1]));
-    if (argc > 2)
-        seed = static_cast<std::uint64_t>(std::atoll(argv[2]));
+    const ArgParser args(argc, argv, "[requests] [seed]");
+    const auto requests = static_cast<std::size_t>(
+        args.positionalNumber<std::int64_t>(0, "requests", 150));
+    const auto seed = static_cast<std::uint64_t>(
+        args.positionalNumber<std::int64_t>(1, "seed", 3));
 
     const auto sys = hw::sprA100();
     const auto m = model::opt30b();

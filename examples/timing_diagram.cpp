@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "base/args.hh"
 #include "base/table.hh"
 #include "core/optimizer.hh"
 #include "hw/system.hh"
@@ -28,15 +29,13 @@ main(int argc, char **argv)
 {
     using namespace lia;
 
-    std::int64_t layers = 6;
-    std::int64_t batch = 900;
-    std::int64_t context = 128;
-    if (argc > 1)
-        layers = std::atoll(argv[1]);
-    if (argc > 2)
-        batch = std::atoll(argv[2]);
-    if (argc > 3)
-        context = std::atoll(argv[3]);
+    const ArgParser args(argc, argv, "[layers] [batch] [context]");
+    const std::int64_t layers =
+        args.positionalNumber<std::int64_t>(0, "layers", 6);
+    const std::int64_t batch =
+        args.positionalNumber<std::int64_t>(1, "batch", 900);
+    const std::int64_t context =
+        args.positionalNumber<std::int64_t>(2, "context", 128);
 
     const auto sys = hw::sprA100();
     auto m = model::opt30b();

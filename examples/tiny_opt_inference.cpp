@@ -13,9 +13,9 @@
  * Usage: tiny_opt_inference [batch] [l_in] [l_out]
  */
 
-#include <cstdlib>
 #include <iostream>
 
+#include "base/args.hh"
 #include "base/table.hh"
 #include "core/optimizer.hh"
 #include "hw/system.hh"
@@ -27,15 +27,13 @@ main(int argc, char **argv)
     using namespace lia;
     using core::Policy;
 
-    std::int64_t batch = 2;
-    std::int64_t l_in = 12;
-    std::int64_t l_out = 8;
-    if (argc > 1)
-        batch = std::atoll(argv[1]);
-    if (argc > 2)
-        l_in = std::atoll(argv[2]);
-    if (argc > 3)
-        l_out = std::atoll(argv[3]);
+    const ArgParser args(argc, argv, "[batch] [l_in] [l_out]");
+    const std::int64_t batch =
+        args.positionalNumber<std::int64_t>(0, "batch", 2);
+    const std::int64_t l_in =
+        args.positionalNumber<std::int64_t>(1, "l_in", 12);
+    const std::int64_t l_out =
+        args.positionalNumber<std::int64_t>(2, "l_out", 8);
 
     const auto sys = hw::sprA100();
     const auto m = model::tinyOpt();

@@ -3,12 +3,16 @@
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
+#include <iostream>
+#include <type_traits>
+#include <utility>
 
 #include "base/logging.hh"
 
 namespace lia {
 
-ArgParser::ArgParser(int argc, const char *const *argv)
+ArgParser::ArgParser(int argc, const char *const *argv, std::string usage)
+    : usage_(std::move(usage))
 {
     LIA_ASSERT(argc >= 1, "argv must contain the program name");
     program_ = argv[0];
@@ -52,23 +56,60 @@ ArgParser::getString(const std::string &name,
 namespace {
 
 /**
- * Parse all of @p text with @p parse (a strtoll/strtod wrapper), or
- * exit through LIA_FATAL naming the option: a value that is not
- * wholly a number of the wanted kind must not silently become 0.
+ * Parse all of @p text with @p parse (a strtoll/strtod wrapper) into
+ * @p out; false when it is not wholly a number of the wanted kind —
+ * such a value must never silently become 0.
  */
 template <typename T, typename Parse>
-T
-parseWhole(const std::string &name, const std::string &text,
-           const char *kind, const Parse &parse)
+bool
+parseWhole(const std::string &text, const Parse &parse, T &out)
 {
+    if (text.empty() ||
+        std::isspace(static_cast<unsigned char>(text.front())))
+        return false;
     const char *begin = text.c_str();
     char *end = nullptr;
     errno = 0;
-    const T value = parse(begin, &end);
-    if (std::isspace(static_cast<unsigned char>(text.front())) ||
-        end == begin || *end != '\0' || errno == ERANGE) {
-        LIA_FATAL("option --", name, " wants ", kind, ", got \"", text,
-                  "\"");
+    out = parse(begin, &end);
+    return end != begin && *end == '\0' && errno != ERANGE;
+}
+
+bool
+parseNumber(const std::string &text, std::int64_t &out)
+{
+    return parseWhole(text,
+                      [](const char *s, char **end) {
+                          return std::strtoll(s, end, 10);
+                      },
+                      out);
+}
+
+bool
+parseNumber(const std::string &text, double &out)
+{
+    return parseWhole(text,
+                      [](const char *s, char **end) {
+                          return std::strtod(s, end);
+                      },
+                      out);
+}
+
+template <typename T>
+const char *
+numberKind()
+{
+    return std::is_same_v<T, double> ? "a number" : "an integer";
+}
+
+/** An option's value as a T, or LIA_FATAL naming the option. */
+template <typename T>
+T
+optionNumber(const std::string &name, const std::string &text)
+{
+    T value{};
+    if (!parseNumber(text, value)) {
+        LIA_FATAL("option --", name, " wants ", numberKind<T>(), ", got \"",
+                  text, "\"");
     }
     return value;
 }
@@ -81,10 +122,7 @@ ArgParser::getInt(const std::string &name, std::int64_t fallback) const
     const auto it = options_.find(name);
     if (it == options_.end() || it->second.empty())
         return fallback;
-    return parseWhole<std::int64_t>(
-        name, it->second, "an integer", [](const char *s, char **end) {
-            return std::strtoll(s, end, 10);
-        });
+    return optionNumber<std::int64_t>(name, it->second);
 }
 
 double
@@ -93,10 +131,32 @@ ArgParser::getDouble(const std::string &name, double fallback) const
     const auto it = options_.find(name);
     if (it == options_.end() || it->second.empty())
         return fallback;
-    return parseWhole<double>(name, it->second, "a number",
-                              [](const char *s, char **end) {
-                                  return std::strtod(s, end);
-                              });
+    return optionNumber<double>(name, it->second);
 }
+
+template <typename T>
+T
+ArgParser::positionalNumber(std::size_t index, const std::string &name,
+                            T fallback) const
+{
+    if (index >= positional_.size())
+        return fallback;
+    const std::string &text = positional_[index];
+    T value{};
+    if (!parseNumber(text, value)) {
+        std::cerr << program_ << ": argument " << name << " wants "
+                  << numberKind<T>() << ", got \"" << text << "\"\n"
+                  << "usage: " << program_ << " " << usage_ << "\n";
+        std::exit(2);
+    }
+    return value;
+}
+
+template std::int64_t ArgParser::positionalNumber(std::size_t,
+                                                  const std::string &,
+                                                  std::int64_t) const;
+template double ArgParser::positionalNumber(std::size_t,
+                                            const std::string &,
+                                            double) const;
 
 } // namespace lia

@@ -21,7 +21,12 @@ namespace lia {
 class ArgParser
 {
   public:
-    ArgParser(int argc, const char *const *argv);
+    /**
+     * @param usage  the program's arguments as its usage line shows
+     *               them (e.g. "[l_in] [l_out]"), printed when a
+     *               positional argument is malformed
+     */
+    ArgParser(int argc, const char *const *argv, std::string usage = "");
 
     /** Whether `--name` appeared (with or without a value). */
     bool has(const std::string &name) const;
@@ -44,6 +49,17 @@ class ArgParser
      */
     double getDouble(const std::string &name, double fallback) const;
 
+    /**
+     * Positional argument @p index as a number (T is std::int64_t or
+     * double), or @p fallback when there are fewer arguments. A value
+     * that is not wholly a number of that kind — the same test as
+     * getInt/getDouble — prints which argument @p name it is and the
+     * usage line to stderr and exits with status 2.
+     */
+    template <typename T>
+    T positionalNumber(std::size_t index, const std::string &name,
+                       T fallback) const;
+
     /** Positional arguments in order. */
     const std::vector<std::string> &positional() const
     {
@@ -55,6 +71,7 @@ class ArgParser
 
   private:
     std::string program_;
+    std::string usage_;
     std::map<std::string, std::string> options_;
     std::vector<std::string> positional_;
 };

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 
 #if defined(__SSE2__) || defined(_M_X64)
 #define LIA_KERNEL_SSE2 1
@@ -464,6 +465,197 @@ int8TilesSse2(const std::int8_t *aq, std::int64_t lda, const float *sa,
     }
 }
 
+/** The one shape check of attention() and scalarAttention(). */
+void
+checkAttentionShapes(const Tensor &q, std::span<const KvLayerView> kv,
+                     std::int64_t tokens, std::int64_t heads,
+                     std::int64_t kvHeads, std::int64_t headDim)
+{
+    const auto batch = static_cast<std::int64_t>(kv.size());
+    LIA_ASSERT(q.ndim() == 2 && batch > 0 && tokens > 0 &&
+                   headDim > 0 && kvHeads > 0 &&
+                   heads % kvHeads == 0 &&
+                   q.dim(0) == batch * tokens &&
+                   q.dim(1) == heads * headDim,
+               "attention shape mismatch: q ", q.dim(0), "x", q.dim(1),
+               ", batch ", batch, ", tokens ", tokens, ", heads ", heads,
+               "/", kvHeads, "x", headDim);
+    for (const KvLayerView &row : kv) {
+        LIA_ASSERT(row.rowStride == kvHeads * headDim &&
+                       row.length >= tokens,
+                   "attention view mismatch: length ", row.length,
+                   " stride ", row.rowStride, " for ", tokens,
+                   " tokens of ", kvHeads, "x", headDim);
+    }
+}
+
+/**
+ * Scores of one query row: s[j] = q . k_j for j in [0, count), key j
+ * at kb + j * rs. Each score is one accumulator chain summing
+ * c-ascending from 0, the reference dot product's order. The SSE2
+ * path sweeps eight keys at once, one key per lane: it loads 4x4
+ * blocks of (key, c) and transposes them so lane i of column c holds
+ * k_i[c].
+ */
+void
+attentionScores(const float *q, const float *kb, std::int64_t rs,
+                std::int64_t dh, std::int64_t count, float *s)
+{
+    std::int64_t j = 0;
+#if LIA_KERNEL_SSE2
+    for (; j + 8 <= count; j += 8) {
+        const float *k = kb + j * rs;
+        __m128 lo = _mm_setzero_ps();
+        __m128 hi = _mm_setzero_ps();
+        std::int64_t c = 0;
+        for (; c + 4 <= dh; c += 4) {
+            __m128 r0 = _mm_loadu_ps(k + c);
+            __m128 r1 = _mm_loadu_ps(k + rs + c);
+            __m128 r2 = _mm_loadu_ps(k + 2 * rs + c);
+            __m128 r3 = _mm_loadu_ps(k + 3 * rs + c);
+            __m128 r4 = _mm_loadu_ps(k + 4 * rs + c);
+            __m128 r5 = _mm_loadu_ps(k + 5 * rs + c);
+            __m128 r6 = _mm_loadu_ps(k + 6 * rs + c);
+            __m128 r7 = _mm_loadu_ps(k + 7 * rs + c);
+            _MM_TRANSPOSE4_PS(r0, r1, r2, r3);
+            _MM_TRANSPOSE4_PS(r4, r5, r6, r7);
+            const __m128 x0 = _mm_set1_ps(q[c]);
+            const __m128 x1 = _mm_set1_ps(q[c + 1]);
+            const __m128 x2 = _mm_set1_ps(q[c + 2]);
+            const __m128 x3 = _mm_set1_ps(q[c + 3]);
+            lo = _mm_add_ps(lo, _mm_mul_ps(x0, r0));
+            hi = _mm_add_ps(hi, _mm_mul_ps(x0, r4));
+            lo = _mm_add_ps(lo, _mm_mul_ps(x1, r1));
+            hi = _mm_add_ps(hi, _mm_mul_ps(x1, r5));
+            lo = _mm_add_ps(lo, _mm_mul_ps(x2, r2));
+            hi = _mm_add_ps(hi, _mm_mul_ps(x2, r6));
+            lo = _mm_add_ps(lo, _mm_mul_ps(x3, r3));
+            hi = _mm_add_ps(hi, _mm_mul_ps(x3, r7));
+        }
+        for (; c < dh; ++c) {
+            const __m128 x = _mm_set1_ps(q[c]);
+            const float *kc = k + c;
+            lo = _mm_add_ps(lo, _mm_mul_ps(x, _mm_setr_ps(
+                                                  kc[0], kc[rs],
+                                                  kc[2 * rs], kc[3 * rs])));
+            hi = _mm_add_ps(hi, _mm_mul_ps(x, _mm_setr_ps(
+                                                  kc[4 * rs], kc[5 * rs],
+                                                  kc[6 * rs], kc[7 * rs])));
+        }
+        _mm_storeu_ps(s + j, lo);
+        _mm_storeu_ps(s + j + 4, hi);
+    }
+#endif
+    for (; j < count; ++j) {
+        const float *kr = kb + j * rs;
+        float acc = 0.0f;
+        for (std::int64_t c = 0; c < dh; ++c)
+            acc += q[c] * kr[c];
+        s[j] = acc;
+    }
+}
+
+/**
+ * out[c] += p[j] * v_j[c] over j ascending in [0, count), value j at
+ * vb + j * rs: one accumulator chain per output element, the
+ * reference matmul's order. The SSE2 path holds 16 columns in
+ * registers across the whole sweep.
+ */
+void
+attentionContext(const float *p, const float *vb, std::int64_t rs,
+                 std::int64_t dh, std::int64_t count, float *out)
+{
+    std::int64_t c = 0;
+#if LIA_KERNEL_SSE2
+    for (; c + 16 <= dh; c += 16) {
+        __m128 a0 = _mm_loadu_ps(out + c);
+        __m128 a1 = _mm_loadu_ps(out + c + 4);
+        __m128 a2 = _mm_loadu_ps(out + c + 8);
+        __m128 a3 = _mm_loadu_ps(out + c + 12);
+        for (std::int64_t j = 0; j < count; ++j) {
+            const __m128 w = _mm_set1_ps(p[j]);
+            const float *v = vb + j * rs + c;
+            a0 = _mm_add_ps(a0, _mm_mul_ps(w, _mm_loadu_ps(v)));
+            a1 = _mm_add_ps(a1, _mm_mul_ps(w, _mm_loadu_ps(v + 4)));
+            a2 = _mm_add_ps(a2, _mm_mul_ps(w, _mm_loadu_ps(v + 8)));
+            a3 = _mm_add_ps(a3, _mm_mul_ps(w, _mm_loadu_ps(v + 12)));
+        }
+        _mm_storeu_ps(out + c, a0);
+        _mm_storeu_ps(out + c + 4, a1);
+        _mm_storeu_ps(out + c + 8, a2);
+        _mm_storeu_ps(out + c + 12, a3);
+    }
+    for (; c + 4 <= dh; c += 4) {
+        __m128 a = _mm_loadu_ps(out + c);
+        for (std::int64_t j = 0; j < count; ++j)
+            a = _mm_add_ps(a, _mm_mul_ps(_mm_set1_ps(p[j]),
+                                         _mm_loadu_ps(vb + j * rs + c)));
+        _mm_storeu_ps(out + c, a);
+    }
+#endif
+    for (; c < dh; ++c) {
+        float acc = out[c];
+        for (std::int64_t j = 0; j < count; ++j)
+            acc += p[j] * vb[j * rs + c];
+        out[c] = acc;
+    }
+}
+
+/**
+ * The SSE2 tier's attention item: one (row, head) over its @p tokens
+ * query rows, as avx512::attentionHead. @p scratch holds @p len
+ * floats: one query row's probabilities at a time.
+ */
+void
+attentionHeadSse2(const float *q, std::int64_t stride, const float *kb,
+                  const float *vb, std::int64_t rs, std::int64_t len,
+                  std::int64_t tokens, std::int64_t dh, float scale,
+                  bool round, float *out, float *scratch)
+{
+    float *p = scratch;
+    for (std::int64_t t = 0; t < tokens; ++t) {
+        const float *qrow = q + t * stride;
+        float *orow = out + t * stride;
+        // Columns from `limit` on are causally masked: the softmax
+        // zeroes them whatever their score.
+        const std::int64_t limit = len - tokens + t + 1;
+
+        attentionScores(qrow, kb, rs, dh, limit, p);
+
+        // Round, scale, then the causal softmax and its rounding.
+        for (std::int64_t j = 0; j < limit; ++j)
+            p[j] = (round ? roundToBf16(p[j]) : p[j]) * scale;
+        float max_val = p[0];
+        for (std::int64_t j = 1; j < limit; ++j)
+            max_val = std::max(max_val, p[j]);
+        float sum = 0.0f;
+        for (std::int64_t j = 0; j < limit; ++j) {
+            p[j] = std::exp(p[j] - max_val);
+            sum += p[j];
+        }
+        for (std::int64_t j = 0; j < limit; ++j) {
+            p[j] /= sum;
+            if (round)
+                p[j] = roundToBf16(p[j]);
+        }
+        std::fill(p + limit, p + len, 0.0f);
+
+        // softmax(S) x V into the zeroed output slice, over every
+        // column as matmul does (masked ones add 0 x v).
+        attentionContext(p, vb, rs, dh, len, orow);
+        if (round) {
+            for (std::int64_t c = 0; c < dh; ++c)
+                orow[c] = roundToBf16(orow[c]);
+        }
+    }
+}
+
+std::int64_t
+attentionScratchSse2(std::int64_t, std::int64_t len, std::int64_t)
+{
+    return len;
+}
+
 #if LIA_AVX512_TIER
 void
 packedTilesAvx512(const float *pa, std::int64_t m, const PackedMatrix &b,
@@ -500,17 +692,32 @@ struct TierKernels
                       const float *, std::int64_t, std::int64_t,
                       float *);
     float (*quantizeRow)(const float *, std::int64_t, std::int8_t *);
+    /** One (row, head) attention item, and its scratch in floats. */
+    void (*attentionHead)(const float *, std::int64_t, const float *,
+                          const float *, std::int64_t, std::int64_t,
+                          std::int64_t, std::int64_t, float, bool,
+                          float *, float *);
+    std::int64_t (*attentionScratch)(std::int64_t, std::int64_t,
+                                     std::int64_t);
     double fp32MacNs;
     double int8MacNs;
     double quantizeNs;
+    /** Attention per (query, key): per head-dim column of the two
+     *  sweeps, and per softmax entry with its std::exp. */
+    double attentionColumnNs;
+    double attentionKeyNs;
 };
 
 constexpr TierKernels kSse2Kernels{&packedTilesSse2, &int8TilesSse2,
-                                   &quantizeRowInt8, 0.1, 0.1, 6.0};
+                                   &quantizeRowInt8, &attentionHeadSse2,
+                                   &attentionScratchSse2, 0.1, 0.1, 6.0,
+                                   0.2, 10.0};
 #if LIA_AVX512_TIER
 constexpr TierKernels kAvx512Kernels{&packedTilesAvx512, &int8TilesAvx512,
-                                     &avx512::quantizeRow, 0.04, 0.015,
-                                     0.1};
+                                     &avx512::quantizeRow,
+                                     &avx512::attentionHead,
+                                     &avx512::attentionScratch, 0.04,
+                                     0.015, 0.1, 0.15, 6.0};
 #endif
 
 } // namespace
@@ -907,6 +1114,64 @@ tierInt8(const Tensor &a, const PackedInt8Matrix &b, const Tensor &bias,
     return int8On(K, a, b, bias, opts);
 }
 
+/** attention() on one tier's (row, head) item. */
+Tensor
+attentionOn(const TierKernels &tier, const Tensor &q,
+            std::span<const KvLayerView> kv, std::int64_t tokens,
+            std::int64_t heads, std::int64_t kvHeads, std::int64_t headDim,
+            const KernelOptions &opts)
+{
+    obs::KernelProfiler::Scope profile(opts.profiler, "attention");
+    checkAttentionShapes(q, kv, tokens, heads, kvHeads, headDim);
+    const auto batch = static_cast<std::int64_t>(kv.size());
+    const std::int64_t d = heads * headDim;
+    const std::int64_t group = heads / kvHeads;
+    const float scale = 1.0f / std::sqrt(static_cast<float>(headDim));
+    std::int64_t longest = 0;
+    for (const KvLayerView &row : kv)
+        longest = std::max(longest, row.length);
+
+    Tensor out({batch * tokens, d});
+    const float *pq = q.data();
+    float *po = out.data();
+    // (row, head)-partitioned: each pair reads its KV head in place
+    // and writes a disjoint column slice of the output, so any
+    // schedule produces identical bits. Per item: two dh-wide sweeps
+    // and one std::exp per cached token, per query token.
+    const double item_ns =
+        static_cast<double>(tokens * longest) *
+        (tier.attentionColumnNs * static_cast<double>(headDim) +
+         tier.attentionKeyNs);
+    const auto scratch = static_cast<std::size_t>(
+        tier.attentionScratch(tokens, longest, headDim));
+    parallelRun(opts, batch * heads, item_ns, [&](std::int64_t bh0,
+                                                  std::int64_t bh1) {
+        // Every float is written before it is read.
+        const std::unique_ptr<float[]> p(new float[scratch]);
+        for (std::int64_t bh = bh0; bh < bh1; ++bh) {
+            const std::int64_t b = bh / heads;
+            const std::int64_t h = bh % heads;
+            const KvLayerView &view = kv[static_cast<std::size_t>(b)];
+            const std::int64_t col = (h / group) * headDim;
+            const std::int64_t at = b * tokens * d + h * headDim;
+            tier.attentionHead(pq + at, d, view.k + col, view.v + col,
+                               view.rowStride, view.length, tokens,
+                               headDim, scale, opts.bf16Rounding, po + at,
+                               p.get());
+        }
+    });
+    return out;
+}
+
+template <const TierKernels &K>
+Tensor
+tierAttention(const Tensor &q, std::span<const KvLayerView> kv,
+              std::int64_t tokens, std::int64_t heads, std::int64_t kvHeads,
+              std::int64_t headDim, const KernelOptions &opts)
+{
+    return attentionOn(K, q, kv, tokens, heads, kvHeads, headDim, opts);
+}
+
 #if LIA_KERNEL_SSE2
 constexpr const char *kBaselineTierName = "sse2";
 #else
@@ -915,11 +1180,13 @@ constexpr const char *kBaselineTierName = "portable";
 
 const KernelTier kSse2Tier{kBaselineTierName, &tierPacked<kSse2Kernels>,
                            &tierInt8<kSse2Kernels>,
-                           kSse2Kernels.quantizeRow};
+                           kSse2Kernels.quantizeRow,
+                           &tierAttention<kSse2Kernels>};
 #if LIA_AVX512_TIER
 const KernelTier kAvx512Tier{"avx512-vnni", &tierPacked<kAvx512Kernels>,
                              &tierInt8<kAvx512Kernels>,
-                             kAvx512Kernels.quantizeRow};
+                             kAvx512Kernels.quantizeRow,
+                             &tierAttention<kAvx512Kernels>};
 #endif
 
 } // namespace
@@ -1084,224 +1351,13 @@ causalSoftmaxRows(Tensor &t, std::int64_t offset,
     maybeRound(t, opts);
 }
 
-namespace {
-
-/** The one shape check of attention() and scalarAttention(). */
-void
-checkAttentionShapes(const Tensor &q, std::span<const KvLayerView> kv,
-                     std::int64_t tokens, std::int64_t heads,
-                     std::int64_t kvHeads, std::int64_t headDim)
-{
-    const auto batch = static_cast<std::int64_t>(kv.size());
-    LIA_ASSERT(q.ndim() == 2 && batch > 0 && tokens > 0 &&
-                   headDim > 0 && kvHeads > 0 &&
-                   heads % kvHeads == 0 &&
-                   q.dim(0) == batch * tokens &&
-                   q.dim(1) == heads * headDim,
-               "attention shape mismatch: q ", q.dim(0), "x", q.dim(1),
-               ", batch ", batch, ", tokens ", tokens, ", heads ", heads,
-               "/", kvHeads, "x", headDim);
-    for (const KvLayerView &row : kv) {
-        LIA_ASSERT(row.rowStride == kvHeads * headDim &&
-                       row.length >= tokens,
-                   "attention view mismatch: length ", row.length,
-                   " stride ", row.rowStride, " for ", tokens,
-                   " tokens of ", kvHeads, "x", headDim);
-    }
-}
-
-/**
- * Scores of one query row: s[j] = q . k_j for j in [0, count), key j
- * at kb + j * rs. Each score is one accumulator chain summing
- * c-ascending from 0, the reference dot product's order. The SSE2
- * path sweeps eight keys at once, one key per lane: it loads 4x4
- * blocks of (key, c) and transposes them so lane i of column c holds
- * k_i[c].
- */
-void
-attentionScores(const float *q, const float *kb, std::int64_t rs,
-                std::int64_t dh, std::int64_t count, float *s)
-{
-    std::int64_t j = 0;
-#if LIA_KERNEL_SSE2
-    for (; j + 8 <= count; j += 8) {
-        const float *k = kb + j * rs;
-        __m128 lo = _mm_setzero_ps();
-        __m128 hi = _mm_setzero_ps();
-        std::int64_t c = 0;
-        for (; c + 4 <= dh; c += 4) {
-            __m128 r0 = _mm_loadu_ps(k + c);
-            __m128 r1 = _mm_loadu_ps(k + rs + c);
-            __m128 r2 = _mm_loadu_ps(k + 2 * rs + c);
-            __m128 r3 = _mm_loadu_ps(k + 3 * rs + c);
-            __m128 r4 = _mm_loadu_ps(k + 4 * rs + c);
-            __m128 r5 = _mm_loadu_ps(k + 5 * rs + c);
-            __m128 r6 = _mm_loadu_ps(k + 6 * rs + c);
-            __m128 r7 = _mm_loadu_ps(k + 7 * rs + c);
-            _MM_TRANSPOSE4_PS(r0, r1, r2, r3);
-            _MM_TRANSPOSE4_PS(r4, r5, r6, r7);
-            const __m128 x0 = _mm_set1_ps(q[c]);
-            const __m128 x1 = _mm_set1_ps(q[c + 1]);
-            const __m128 x2 = _mm_set1_ps(q[c + 2]);
-            const __m128 x3 = _mm_set1_ps(q[c + 3]);
-            lo = _mm_add_ps(lo, _mm_mul_ps(x0, r0));
-            hi = _mm_add_ps(hi, _mm_mul_ps(x0, r4));
-            lo = _mm_add_ps(lo, _mm_mul_ps(x1, r1));
-            hi = _mm_add_ps(hi, _mm_mul_ps(x1, r5));
-            lo = _mm_add_ps(lo, _mm_mul_ps(x2, r2));
-            hi = _mm_add_ps(hi, _mm_mul_ps(x2, r6));
-            lo = _mm_add_ps(lo, _mm_mul_ps(x3, r3));
-            hi = _mm_add_ps(hi, _mm_mul_ps(x3, r7));
-        }
-        for (; c < dh; ++c) {
-            const __m128 x = _mm_set1_ps(q[c]);
-            const float *kc = k + c;
-            lo = _mm_add_ps(lo, _mm_mul_ps(x, _mm_setr_ps(
-                                                  kc[0], kc[rs],
-                                                  kc[2 * rs], kc[3 * rs])));
-            hi = _mm_add_ps(hi, _mm_mul_ps(x, _mm_setr_ps(
-                                                  kc[4 * rs], kc[5 * rs],
-                                                  kc[6 * rs], kc[7 * rs])));
-        }
-        _mm_storeu_ps(s + j, lo);
-        _mm_storeu_ps(s + j + 4, hi);
-    }
-#endif
-    for (; j < count; ++j) {
-        const float *kr = kb + j * rs;
-        float acc = 0.0f;
-        for (std::int64_t c = 0; c < dh; ++c)
-            acc += q[c] * kr[c];
-        s[j] = acc;
-    }
-}
-
-/**
- * out[c] += p[j] * v_j[c] over j ascending in [0, count), value j at
- * vb + j * rs: one accumulator chain per output element, the
- * reference matmul's order. The SSE2 path holds 16 columns in
- * registers across the whole sweep.
- */
-void
-attentionContext(const float *p, const float *vb, std::int64_t rs,
-                 std::int64_t dh, std::int64_t count, float *out)
-{
-    std::int64_t c = 0;
-#if LIA_KERNEL_SSE2
-    for (; c + 16 <= dh; c += 16) {
-        __m128 a0 = _mm_loadu_ps(out + c);
-        __m128 a1 = _mm_loadu_ps(out + c + 4);
-        __m128 a2 = _mm_loadu_ps(out + c + 8);
-        __m128 a3 = _mm_loadu_ps(out + c + 12);
-        for (std::int64_t j = 0; j < count; ++j) {
-            const __m128 w = _mm_set1_ps(p[j]);
-            const float *v = vb + j * rs + c;
-            a0 = _mm_add_ps(a0, _mm_mul_ps(w, _mm_loadu_ps(v)));
-            a1 = _mm_add_ps(a1, _mm_mul_ps(w, _mm_loadu_ps(v + 4)));
-            a2 = _mm_add_ps(a2, _mm_mul_ps(w, _mm_loadu_ps(v + 8)));
-            a3 = _mm_add_ps(a3, _mm_mul_ps(w, _mm_loadu_ps(v + 12)));
-        }
-        _mm_storeu_ps(out + c, a0);
-        _mm_storeu_ps(out + c + 4, a1);
-        _mm_storeu_ps(out + c + 8, a2);
-        _mm_storeu_ps(out + c + 12, a3);
-    }
-    for (; c + 4 <= dh; c += 4) {
-        __m128 a = _mm_loadu_ps(out + c);
-        for (std::int64_t j = 0; j < count; ++j)
-            a = _mm_add_ps(a, _mm_mul_ps(_mm_set1_ps(p[j]),
-                                         _mm_loadu_ps(vb + j * rs + c)));
-        _mm_storeu_ps(out + c, a);
-    }
-#endif
-    for (; c < dh; ++c) {
-        float acc = out[c];
-        for (std::int64_t j = 0; j < count; ++j)
-            acc += p[j] * vb[j * rs + c];
-        out[c] = acc;
-    }
-}
-
-} // namespace
-
 Tensor
 attention(const Tensor &q, std::span<const KvLayerView> kv,
           std::int64_t tokens, std::int64_t heads, std::int64_t kvHeads,
           std::int64_t headDim, const KernelOptions &opts)
 {
-    obs::KernelProfiler::Scope profile(opts.profiler, "attention");
-    checkAttentionShapes(q, kv, tokens, heads, kvHeads, headDim);
-    const auto batch = static_cast<std::int64_t>(kv.size());
-    const std::int64_t d = heads * headDim;
-    const std::int64_t group = heads / kvHeads;
-    const float scale = 1.0f / std::sqrt(static_cast<float>(headDim));
-    const bool round = opts.bf16Rounding;
-    std::int64_t longest = 0;
-    for (const KvLayerView &row : kv)
-        longest = std::max(longest, row.length);
-
-    Tensor out({batch * tokens, d});
-    const float *pq = q.data();
-    float *po = out.data();
-    // (row, head)-partitioned: each pair reads its KV head in place
-    // and writes a disjoint column slice of the output, so any
-    // schedule produces identical bits. Per item: two dh-wide sweeps
-    // and one std::exp per cached token, per query token.
-    const double item_ns = static_cast<double>(tokens * longest) *
-                           (0.2 * static_cast<double>(headDim) + 10.0);
-    parallelRun(opts, batch * heads, item_ns, [&](std::int64_t bh0,
-                                                  std::int64_t bh1) {
-        std::vector<float> probs(static_cast<std::size_t>(longest));
-        float *p = probs.data();
-        for (std::int64_t bh = bh0; bh < bh1; ++bh) {
-            const std::int64_t b = bh / heads;
-            const std::int64_t h = bh % heads;
-            const KvLayerView &view = kv[static_cast<std::size_t>(b)];
-            const std::int64_t len = view.length;
-            const std::int64_t rs = view.rowStride;
-            const std::int64_t col = (h / group) * headDim;
-            const float *kb = view.k + col;
-            const float *vb = view.v + col;
-            for (std::int64_t t = 0; t < tokens; ++t) {
-                const std::int64_t row = b * tokens + t;
-                const float *qrow = pq + row * d + h * headDim;
-                float *orow = po + row * d + h * headDim;
-                // Columns from `limit` on are causally masked: the
-                // softmax zeroes them whatever their score.
-                const std::int64_t limit = len - tokens + t + 1;
-
-                attentionScores(qrow, kb, rs, headDim, limit, p);
-
-                // Round, scale, then the causal softmax and its
-                // rounding.
-                for (std::int64_t j = 0; j < limit; ++j)
-                    p[j] = (round ? roundToBf16(p[j]) : p[j]) * scale;
-                float max_val = p[0];
-                for (std::int64_t j = 1; j < limit; ++j)
-                    max_val = std::max(max_val, p[j]);
-                float sum = 0.0f;
-                for (std::int64_t j = 0; j < limit; ++j) {
-                    p[j] = std::exp(p[j] - max_val);
-                    sum += p[j];
-                }
-                for (std::int64_t j = 0; j < limit; ++j) {
-                    p[j] /= sum;
-                    if (round)
-                        p[j] = roundToBf16(p[j]);
-                }
-                std::fill(p + limit, p + len, 0.0f);
-
-                // softmax(S) x V into the zeroed output slice, over
-                // every column as matmul does (masked ones add 0 x v).
-                attentionContext(p, vb, rs, headDim, len, orow);
-                if (round) {
-                    for (std::int64_t c = 0; c < headDim; ++c)
-                        orow[c] = roundToBf16(orow[c]);
-                }
-            }
-        }
-    });
-    return out;
+    return activeKernelTier().attention(q, kv, tokens, heads, kvHeads,
+                                        headDim, opts);
 }
 
 Tensor

@@ -196,11 +196,12 @@ Tensor scalarMatmulInt8(const Tensor &a, const PackedInt8Matrix &b,
                         const KernelOptions &opts = {});
 
 /**
- * One instruction-set tier of the matmul kernels (DESIGN.md §7): its
- * entry points, with the same contracts as matmulPacked, matmulInt8
- * and the activation quantizer of scalarMatmulInt8. Every tier is
- * bit-identical to the scalar references; tiers differ only in speed.
- * matmulPacked/matmulInt8 run activeKernelTier(). The property suites
+ * One instruction-set tier of the matmul and attention kernels
+ * (DESIGN.md §7): its entry points, with the same contracts as
+ * matmulPacked, matmulInt8, the activation quantizer of
+ * scalarMatmulInt8 and attention. Every tier is bit-identical to the
+ * scalar references; tiers differ only in speed. matmulPacked,
+ * matmulInt8 and attention run activeKernelTier(). The property suites
  * call each tier here directly, so every tier the host can run is
  * tested whichever one is active.
  */
@@ -217,6 +218,11 @@ struct KernelTier
      */
     float (*quantizeRowInt8)(const float *row, std::int64_t k,
                              std::int8_t *out);
+    /** attention(), bit-identical to scalarAttention. */
+    Tensor (*attention)(const Tensor &q, std::span<const KvLayerView> kv,
+                        std::int64_t tokens, std::int64_t heads,
+                        std::int64_t kvHeads, std::int64_t headDim,
+                        const KernelOptions &opts);
 };
 
 /** The SSE2 tier (portable scalar code on non-x86 builds). */

@@ -43,6 +43,24 @@ void int8Tiles(const std::int8_t *aq, std::int64_t lda, const float *sa,
 /** The activation quantizer, same contract as the scalar one. */
 float quantizeRow(const float *row, std::int64_t k, std::int8_t *out);
 
+/**
+ * One (row, head) item of attention(): @p tokens query rows at @p q
+ * (row stride @p stride) over the first @p len keys and values at
+ * @p k and @p v (token stride @p rs), written to @p out (row stride
+ * @p stride). Query row t attends to keys [0, len - tokens + t + 1).
+ * Scores, softmax and S·V run scalarAttention's float operations in
+ * its order; @p scratch holds attentionScratch(tokens, len, dh)
+ * floats.
+ */
+void attentionHead(const float *q, std::int64_t stride, const float *k,
+                   const float *v, std::int64_t rs, std::int64_t len,
+                   std::int64_t tokens, std::int64_t dh, float scale,
+                   bool round, float *out, float *scratch);
+
+/** Scratch floats attentionHead needs for one item. */
+std::int64_t attentionScratch(std::int64_t tokens, std::int64_t len,
+                              std::int64_t dh);
+
 } // namespace avx512
 } // namespace runtime
 } // namespace lia

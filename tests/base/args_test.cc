@@ -127,4 +127,48 @@ TEST(ArgParserTest, WhollyNumericValuesParse)
     EXPECT_DOUBLE_EQ(args.getDouble("seed", 0), -3.0);
 }
 
+TEST(ArgParserTest, PositionalNumbersParseOrFallBack)
+{
+    const auto args = parse({"prog", "64", "--seed", "3", "-2.5", "+7"});
+    EXPECT_EQ(args.positionalNumber<std::int64_t>(0, "batch", 1), 64);
+    EXPECT_DOUBLE_EQ(args.positionalNumber(1, "slo", 0.0), -2.5);
+    EXPECT_EQ(args.positionalNumber<std::int64_t>(2, "l_out", 0), 7);
+    // Absent positions take the fallback; options never count.
+    EXPECT_EQ(args.positionalNumber<std::int64_t>(3, "seed", 11), 11);
+    EXPECT_DOUBLE_EQ(args.positionalNumber(9, "rate", 1.5), 1.5);
+    // An integer argument read as a double stays exact.
+    EXPECT_DOUBLE_EQ(args.positionalNumber(0, "batch", 0.0), 64.0);
+}
+
+using ArgParserDeathTest = ::testing::Test;
+
+TEST(ArgParserDeathTest, MalformedPositionalExitsTwoNamingTheArgument)
+{
+    const char *argv[] = {"prog", "256", "abc"};
+    const ArgParser args(3, argv, "[l_in] [l_out]");
+    EXPECT_EXIT(args.positionalNumber<std::int64_t>(1, "l_out", 32),
+                ::testing::ExitedWithCode(2),
+                "prog: argument l_out wants an integer, got \"abc\"\n"
+                "usage: prog \\[l_in\\] \\[l_out\\]");
+}
+
+TEST(ArgParserDeathTest, PartlyNumericPositionalsExitTwo)
+{
+    const char *argv[] = {"prog", "8x", "1.5", "2.5/s", " 4",
+                          "99999999999999999999", ""};
+    const ArgParser args(7, argv, "[a] [b] [c] [d] [e] [f]");
+    const auto exits = ::testing::ExitedWithCode(2);
+    EXPECT_EXIT(args.positionalNumber<std::int64_t>(0, "a", 0), exits,
+                "argument a wants an integer");
+    EXPECT_EXIT(args.positionalNumber<std::int64_t>(1, "b", 0), exits,
+                "argument b wants an integer");
+    EXPECT_EXIT(args.positionalNumber(2, "c", 0.0), exits,
+                "argument c wants a number");
+    EXPECT_EXIT(args.positionalNumber<std::int64_t>(3, "d", 0), exits,
+                "argument d");
+    EXPECT_EXIT(args.positionalNumber<std::int64_t>(4, "e", 0), exits,
+                "argument e");
+    EXPECT_EXIT(args.positionalNumber(5, "f", 0.0), exits, "argument f");
+}
+
 } // namespace

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "baselines/presets.hh"
 #include "core/optimizer.hh"
 #include "hw/system.hh"
@@ -24,6 +27,26 @@ struct Case
     std::int64_t context;
     Stage stage;
 };
+
+/**
+ * A case's stable label, e.g. Decode_B64_L256: it names the test and
+ * prints the parameter. Without it gtest prints the struct's bytes,
+ * padding included, which differ from build to build, and CTest puts
+ * that print into the test's name.
+ */
+std::string
+label(const Case &c)
+{
+    return std::string(c.stage == Stage::Decode ? "Decode" : "Prefill") +
+           "_B" + std::to_string(c.batch) + "_L" +
+           std::to_string(c.context);
+}
+
+void
+PrintTo(const Case &c, std::ostream *os)
+{
+    *os << label(c);
+}
 
 class AnalyticalVsDesTest : public ::testing::TestWithParam<Case>
 {
@@ -56,7 +79,10 @@ INSTANTIATE_TEST_SUITE_P(
                       Case{900, 128, Stage::Decode},
                       Case{1, 512, Stage::Prefill},
                       Case{64, 256, Stage::Prefill},
-                      Case{8, 1024, Stage::Prefill}));
+                      Case{8, 1024, Stage::Prefill}),
+    [](const ::testing::TestParamInfo<Case> &info) {
+        return label(info.param);
+    });
 
 TEST(AnalyticalVsDesResidency, ResidentPrefixMatchesEngineMixing)
 {

@@ -220,9 +220,21 @@ TEST(AttentionProperty, MaskedNonFiniteValuesPropagateAsInTheReference)
         std::numeric_limits<float>::infinity();
     const Tensor ref = runReference(s);
     EXPECT_TRUE(std::isnan(ref.at(0, 1)));
-    for (const auto &pool : contractPools())
-        EXPECT_TRUE(bitIdentical(
-            runFused(s, KernelOptions{s.round, pool.get()}), ref));
+    // On every kernel tier this host runs, not only the active one.
+    std::vector<const KernelTier *> tiers{&sse2KernelTier()};
+    if (avx512KernelTier() != nullptr)
+        tiers.push_back(avx512KernelTier());
+    for (const auto &pool : contractPools()) {
+        const KernelOptions opts{s.round, pool.get()};
+        EXPECT_TRUE(bitIdentical(runFused(s, opts), ref));
+        for (const KernelTier *tier : tiers)
+            EXPECT_TRUE(bitIdentical(
+                tier->attention(s.q, s.views(), s.tokens, s.heads,
+                                s.kvHeads, s.headDim, opts),
+                ref))
+                << tier->name << " at " << pool->threadCount()
+                << " threads";
+    }
 }
 
 TEST(AttentionProperty, ReadsTheCacheInPlaceMidStep)

@@ -7,11 +7,16 @@
  * elsewhere) — so each tier the host can run is tested whichever one
  * the kernels picked. Each must memcmp-equal the scalar references:
  * matmulPacked against scalarMatmul, matmulInt8 against
- * scalarMatmulInt8, and the activation quantizer against the rule
- * itself (absmax scale, lrintf, clamp to ±127). Shapes cover m 1–9,
- * odd and even k including 1, partial final tiles, bias on and off,
- * BF16 rounding on and off, and pools of 1, 2 and 4 threads, with
- * sizes large enough that the work-sized dispatch splits some loops.
+ * scalarMatmulInt8, the activation quantizer against the rule itself
+ * (absmax scale, lrintf, clamp to ±127), and attention against
+ * scalarAttention. Shapes cover m 1–9, odd and even k including 1,
+ * partial final tiles, bias on and off, BF16 rounding on and off, and
+ * pools of 1, 2 and 4 threads, with sizes large enough that the
+ * work-sized dispatch splits some loops. Attention covers decode,
+ * verify and prefill-chunk token counts, ragged per-row lengths
+ * (under 16 keys, not a multiple of 16), head widths of 8 to 64,
+ * grouped-query heads, BF16 rounding on and off, and non-finite keys,
+ * queries and values.
  *
  * Scenario count scales with LIA_PROPERTY_SCENARIOS like the other
  * property suites.
@@ -32,6 +37,7 @@
 #include "base/rng.hh"
 #include "base/thread_pool.hh"
 #include "runtime/kernels.hh"
+#include "runtime/kv_cache.hh"
 
 namespace {
 
@@ -222,6 +228,162 @@ TEST_P(KernelTierProperty, QuantizerMatchesTheRuleCodeForCode)
     check({1.0f, nan, -2.0f, 3.0f, nan}, "NaN entries");
     check({1.0f, inf, -2.0f, -inf, 0.0f}, "infinite entries");
     check(std::vector<float>(17, nan), "all NaN");
+}
+
+/** One attention call: queries and a K/V store per batch row. */
+struct AttentionCase
+{
+    std::int64_t tokens = 1, heads = 1, kvHeads = 1, headDim = 8;
+    bool round = true;
+    std::vector<std::int64_t> lengths;     //!< per row, tokens included
+    Tensor q;
+    std::vector<std::vector<float>> k, v;  //!< per row (length, kvDim)
+
+    std::vector<KvLayerView>
+    views() const
+    {
+        std::vector<KvLayerView> out;
+        for (std::size_t b = 0; b < lengths.size(); ++b)
+            out.push_back({k[b].data(), v[b].data(), lengths[b],
+                           kvHeads * headDim});
+        return out;
+    }
+
+    /** Random operands; each row's store holds exactly its length, so
+     *  a read past it is a heap overflow under ASan. */
+    void
+    fill(Rng &rng)
+    {
+        const auto batch = static_cast<std::int64_t>(lengths.size());
+        q = Tensor::randomNormal({batch * tokens, heads * headDim}, rng,
+                                 1.0);
+        k.assign(lengths.size(), {});
+        v.assign(lengths.size(), {});
+        for (std::size_t b = 0; b < lengths.size(); ++b) {
+            const auto n =
+                static_cast<std::size_t>(lengths[b] * kvHeads * headDim);
+            k[b].resize(n);
+            v[b].resize(n);
+            for (std::size_t e = 0; e < n; ++e) {
+                k[b][e] = static_cast<float>(rng.normal(0.0, 1.0));
+                v[b][e] = static_cast<float>(rng.normal(0.0, 1.0));
+            }
+        }
+    }
+
+    std::string
+    describe(const KernelTier &tier, int threads) const
+    {
+        std::string out = "tier " + std::string(tier.name) + " tokens " +
+                          std::to_string(tokens) + " heads " +
+                          std::to_string(heads) + "/" +
+                          std::to_string(kvHeads) + "x" +
+                          std::to_string(headDim) + " bf16 " +
+                          std::to_string(round) + " lengths";
+        for (const std::int64_t len : lengths)
+            out += " " + std::to_string(len);
+        return out + " threads " + std::to_string(threads);
+    }
+};
+
+/** Run @p c on @p tier at every contract pool against scalarAttention. */
+void
+expectAttentionMatches(const AttentionCase &c, const KernelTier &tier,
+                       const std::string &what)
+{
+    const std::vector<KvLayerView> views = c.views();
+    const Tensor ref =
+        scalarAttention(c.q, views, c.tokens, c.heads, c.kvHeads,
+                        c.headDim, KernelOptions{c.round});
+    for (const auto &pool : contractPools()) {
+        const Tensor got = tier.attention(
+            c.q, views, c.tokens, c.heads, c.kvHeads, c.headDim,
+            KernelOptions{c.round, pool.get()});
+        ASSERT_TRUE(bitIdentical(got, ref))
+            << what << ": " << c.describe(tier, pool->threadCount());
+    }
+}
+
+TEST_P(KernelTierProperty, AttentionMatchesScalarAttention)
+{
+    // Decode (1), short verifies (2, 3), the smallest K-panel chunk
+    // (4, 5) and prefill chunks, some not a multiple of the 4-row S·V
+    // block; head widths below, at and between whole 16-lane vectors.
+    const std::int64_t tokens[] = {1, 2, 3, 4, 5, 37, 128, 130};
+    const std::int64_t dims[] = {8, 24, 32, 40, 64};
+    std::mt19937_64 gen(20261022);
+    const auto pick = [&gen](std::int64_t lo, std::int64_t hi) {
+        return std::uniform_int_distribution<std::int64_t>(lo, hi)(gen);
+    };
+    for (std::size_t it = 0; it < scenarioCount(); ++it) {
+        Rng rng(static_cast<std::uint64_t>(11000 + it));
+        AttentionCase c;
+        c.tokens = tokens[it % 8];
+        c.headDim = dims[(it / 8) % 5];
+        c.round = (it / 40) % 2 == 0;
+        c.kvHeads = pick(1, 2);
+        c.heads = c.kvHeads * pick(1, 3);  // GQA when the group is > 1
+        // Ragged histories: none, under one 16-key block, and longer
+        // ones that are mostly not a multiple of 16.
+        const std::int64_t batch = c.tokens > 64 ? pick(1, 2) : pick(1, 4);
+        for (std::int64_t b = 0; b < batch; ++b) {
+            std::int64_t history = 0;
+            switch (pick(0, 2)) {
+            case 0: history = pick(0, std::max<std::int64_t>(
+                                             0, 15 - c.tokens));
+                break;
+            case 1: history = pick(0, 40); break;
+            default: history = pick(41, c.tokens > 64 ? 200 : 320); break;
+            }
+            c.lengths.push_back(history + c.tokens);
+        }
+        c.fill(rng);
+        expectAttentionMatches(c, *tier, "scenario " + std::to_string(it));
+    }
+}
+
+TEST_P(KernelTierProperty, AttentionNonFiniteValuesMatchScalarAttention)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    for (const std::int64_t tokens : {1, 3, 4, 37}) {
+        for (const std::int64_t headDim : {8, 32}) {
+            AttentionCase c;
+            c.tokens = tokens;
+            c.heads = 2;
+            c.kvHeads = 1;
+            c.headDim = headDim;
+            c.lengths = {tokens + 40, tokens + 3};
+            const auto at = [&](std::int64_t key, std::int64_t col) {
+                return static_cast<std::size_t>(key * headDim + col);
+            };
+            const auto run = [&](const std::string &what,
+                                 const auto &poison) {
+                Rng rng(static_cast<std::uint64_t>(tokens * 100 + headDim));
+                c.fill(rng);
+                poison();
+                expectAttentionMatches(c, *tier,
+                                       what + " at tokens " +
+                                           std::to_string(tokens));
+            };
+            // A NaN score at key 0 sticks in the row max; a NaN score
+            // past key 0 is skipped by it, as std::max does. (Two NaNs
+            // with different payloads are not a usable case: which one
+            // a sum keeps depends on how the compiler orders the
+            // operands of a commutative add.)
+            run("NaN key 0", [&] { c.k[0][at(0, 1)] = nan; });
+            run("NaN key 21", [&] { c.k[0][at(21, 2)] = nan; });
+            run("NaN last key of the short row",
+                [&] { c.k[1][at(tokens + 2, 0)] = nan; });
+            // Infinite scores: max +inf makes inf - inf = NaN.
+            run("+inf key 5", [&] { c.k[0][at(5, 0)] = inf; });
+            run("-inf key 0", [&] { c.k[0][at(0, 0)] = -inf; });
+            // Masked columns still enter S·V as 0 x v.
+            run("inf value past the limit",
+                [&] { c.v[0][at(tokens + 39, 1)] = inf; });
+            run("NaN query", [&] { c.q.at(0, 3) = nan; });
+        }
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Tiers, KernelTierProperty,
