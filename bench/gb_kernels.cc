@@ -2,14 +2,18 @@
  * @file
  * Google-benchmark microbenchmarks of the functional back-end's
  * numeric kernels (real measured host performance, not modeled):
- * GEMM, batched attention scoring, softmax, and LayerNorm at
- * decoder-layer shapes of the tiny evaluation model.
+ * the packed GEMM, fused causal attention, and LayerNorm at
+ * decoder-layer shapes of the tiny evaluation model, on the kernel
+ * tier CPUID selects.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "base/rng.hh"
 #include "runtime/kernels.hh"
+#include "runtime/kv_cache.hh"
 
 namespace {
 
@@ -23,9 +27,10 @@ BM_Gemm(benchmark::State &state)
     const std::int64_t d = 256;
     Rng rng(1);
     const Tensor a = Tensor::randomNormal({rows, d}, rng, 1.0);
-    const Tensor b = Tensor::randomNormal({d, 4 * d}, rng, 1.0);
+    const PackedMatrix b =
+        packColumns(Tensor::randomNormal({d, 4 * d}, rng, 1.0));
     for (auto _ : state) {
-        Tensor c = matmul(a, b, Tensor(), KernelOptions{false});
+        Tensor c = matmulPacked(a, b, Tensor(), KernelOptions{false});
         benchmark::DoNotOptimize(c.data());
     }
     state.SetItemsProcessed(state.iterations() * 2 * rows * d * 4 * d);
@@ -39,9 +44,10 @@ BM_GemmBf16Rounded(benchmark::State &state)
     const std::int64_t d = 256;
     Rng rng(1);
     const Tensor a = Tensor::randomNormal({rows, d}, rng, 1.0);
-    const Tensor b = Tensor::randomNormal({d, 4 * d}, rng, 1.0);
+    const PackedMatrix b =
+        packColumns(Tensor::randomNormal({d, 4 * d}, rng, 1.0));
     for (auto _ : state) {
-        Tensor c = matmul(a, b, Tensor(), KernelOptions{true});
+        Tensor c = matmulPacked(a, b, Tensor(), KernelOptions{true});
         benchmark::DoNotOptimize(c.data());
     }
     state.SetItemsProcessed(state.iterations() * 2 * rows * d * 4 * d);
@@ -51,33 +57,23 @@ BENCHMARK(BM_GemmBf16Rounded)->Arg(32);
 void
 BM_AttentionScores(benchmark::State &state)
 {
-    // Q x K^T for one head: (T, d_h) x (L, d_h)^T.
+    // One head of causal attention for a 16-token chunk at the end of
+    // an L-token context: Q x K^T, softmax, and S x V.
     const auto len = static_cast<std::int64_t>(state.range(0));
+    const std::int64_t tokens = 16, d = 64;
     Rng rng(2);
-    const Tensor q = Tensor::randomNormal({16, 64}, rng, 1.0);
-    const Tensor k = Tensor::randomNormal({len, 64}, rng, 1.0);
+    const Tensor q = Tensor::randomNormal({tokens, d}, rng, 1.0);
+    const Tensor k = Tensor::randomNormal({len, d}, rng, 1.0);
+    const Tensor v = Tensor::randomNormal({len, d}, rng, 1.0);
+    const std::vector<KvLayerView> view{{k.data(), v.data(), len, d}};
     for (auto _ : state) {
-        Tensor s = matmulTransposed(q, k, KernelOptions{false});
-        benchmark::DoNotOptimize(s.data());
+        Tensor o = attention(q, view, tokens, 1, 1, d,
+                             KernelOptions{false});
+        benchmark::DoNotOptimize(o.data());
     }
-    state.SetItemsProcessed(state.iterations() * 2 * 16 * 64 * len);
+    state.SetItemsProcessed(state.iterations() * 4 * tokens * d * len);
 }
 BENCHMARK(BM_AttentionScores)->Arg(64)->Arg(256)->Arg(1024);
-
-void
-BM_CausalSoftmax(benchmark::State &state)
-{
-    const auto cols = static_cast<std::int64_t>(state.range(0));
-    Rng rng(3);
-    const Tensor base = Tensor::randomNormal({64, cols}, rng, 1.0);
-    for (auto _ : state) {
-        Tensor t = base.clone();
-        causalSoftmaxRows(t, 0, KernelOptions{false});
-        benchmark::DoNotOptimize(t.data());
-    }
-    state.SetItemsProcessed(state.iterations() * 64 * cols);
-}
-BENCHMARK(BM_CausalSoftmax)->Arg(128)->Arg(1024);
 
 void
 BM_LayerNorm(benchmark::State &state)

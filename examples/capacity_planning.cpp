@@ -54,6 +54,9 @@ main(int argc, char **argv)
 
     const auto sys = hw::withCxl(hw::sprA100());
     const auto m = model::opt30b();
+    if (const auto why = m.contextOverflow(request.lIn + request.lOut);
+        !why.empty())
+        args.usageError(why);
     CapacityPlanner planner(sys, m);
 
     std::cout << "Capacity planning: " << m.name << " on " << sys.name

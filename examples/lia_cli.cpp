@@ -39,6 +39,8 @@ cmdPlan(const ArgParser &args)
         model::modelByName(args.getString("model", "OPT-30B"));
     const Scenario sc{args.getInt("batch", 1), args.getInt("lin", 512),
                       args.getInt("lout", 32)};
+    if (const auto why = m.contextOverflow(sc.lIn + sc.lOut); !why.empty())
+        args.usageError(why);
 
     const auto lia_est = baselines::liaEngine(sys, m).estimate(sc);
     const auto ipex_est = baselines::ipexEngine(sys, m).estimate(sc);
@@ -73,6 +75,8 @@ cmdSweep(const ArgParser &args)
         model::modelByName(args.getString("model", "OPT-30B"));
     const auto l_in = args.getInt("lin", 256);
     const auto l_out = args.getInt("lout", 32);
+    if (const auto why = m.contextOverflow(l_in + l_out); !why.empty())
+        args.usageError(why);
 
     auto engine = baselines::liaEngine(sys, m);
     std::cout << "batch,latency_s,tokens_per_s,prefill_policy,"
@@ -103,6 +107,8 @@ cmdPolicy(const ArgParser &args)
                                    : model::Stage::Decode;
     model::Workload w{stage, args.getInt("batch", 1),
                       args.getInt("lin", 512)};
+    if (const auto why = m.contextOverflow(w.contextLen); !why.empty())
+        args.usageError(why);
 
     core::CostModel cm(sys, m, {});
     core::PolicyOptimizer opt(cm);
@@ -137,24 +143,17 @@ cmdSystems()
     return 0;
 }
 
-int
-usage(const std::string &program)
-{
-    std::cerr << "usage: " << program
-              << " {plan|sweep|policy|systems} [--system S] "
-                 "[--model M]\n          [--batch B] [--lin L] "
-                 "[--lout L] [--stage prefill|decode]\n";
-    return 2;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    const ArgParser args(argc, argv);
+    const ArgParser args(argc, argv,
+                         "{plan|sweep|policy|systems} [--system S] "
+                         "[--model M] [--batch B] [--lin L] [--lout L] "
+                         "[--stage prefill|decode]");
     if (args.positional().empty())
-        return usage(args.program());
+        args.usageError("missing command");
     const std::string &cmd = args.positional().front();
     if (cmd == "plan")
         return cmdPlan(args);
@@ -164,5 +163,5 @@ main(int argc, char **argv)
         return cmdPolicy(args);
     if (cmd == "systems")
         return cmdSystems();
-    return usage(args.program());
+    args.usageError("unknown command \"" + cmd + "\"");
 }

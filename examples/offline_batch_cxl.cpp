@@ -37,6 +37,8 @@ main(int argc, char **argv)
     const auto plain = hw::sprA100();
     const auto cxl = hw::withCxl(plain);
     const auto m = model::opt30b();
+    if (const auto why = m.contextOverflow(l_in + l_out); !why.empty())
+        args.usageError(why);
 
     std::cout << "Offline batch processing: " << m.name
               << ", L_in=" << l_in << ", L_out=" << l_out << "\n\n";

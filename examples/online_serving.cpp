@@ -8,23 +8,27 @@
  * and FlexGen baselines — the situation of a user-facing assistant
  * where every query's response time matters.
  *
- * Also cross-checks the two serving models at B = 1: the legacy
- * M/G/1 queue (whole-request service times) against the new
- * continuous-batching engine capped at batch 1 (iteration-priced)
- * on the identical arrival sequence.
+ * Those per-request service times then price queueing in closed form:
+ * an M/G/1 load sweep gives each framework's load and Pollaczek–
+ * Khinchine mean wait per arrival rate, showing FlexGen saturating at
+ * rates LIA absorbs. Finally the continuous-batching engine capped at
+ * batch 1 (iteration-priced) serves a Poisson stream, and its measured
+ * mean queue wait sits next to the P–K wait of its own service times.
  *
  * Usage: online_serving [num_requests] [seed]
  *                       [--trace-out trace.json]
  *                       [--metrics-out metrics.prom]
  *
- * --trace-out records the B = 1 serving-engine cross-check run as a
+ * --trace-out records the B = 1 serving-engine run as a
  * Chrome-trace / Perfetto JSON timeline; --metrics-out writes that
  * run's Prometheus text exposition (DESIGN.md §13). Instrumentation
  * never changes the metrics (DESIGN.md §8).
  */
 
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
+#include <utility>
 
 #include "base/args.hh"
 #include "base/stats.hh"
@@ -36,7 +40,6 @@
 #include "serve/engine.hh"
 #include "serve/metrics.hh"
 #include "serve/prom.hh"
-#include "sim/serving.hh"
 #include "trace/azure.hh"
 
 int
@@ -94,25 +97,42 @@ main(int argc, char **argv)
                  "crossover);\nprefill moves to the GPU once "
                  "L_in crosses the compute-intensity boundary.\n";
 
-    // --- Cross-check: M/G/1 queue vs serving engine at B = 1 --------
+    // --- M/G/1 load sweep -------------------------------------------
     //
-    // Same seed => same Poisson arrival sequence and trace shapes.
-    // The legacy queue serves whole requests (engine.estimate); the
-    // serving engine prices prefill + per-token decode iterations.
-    // At batch 1 the two must agree closely on the response-time
-    // distribution.
-    const double rate = 1.5 / 60.0;  // 1.5 arrivals/min
+    // A B = 1 server with Poisson arrivals is an M/G/1 queue, so the
+    // per-request service times above give each framework's load and
+    // mean wait in closed form (Pollaczek–Khinchine).
+    std::cout << "\nM/G/1 load sweep (B=1 FIFO, Pollaczek-Khinchine mean "
+                 "wait from the\nservice times above):\n";
+    TextTable sweep({"arrivals/min", "framework", "load", "mean wait",
+                     "mean resp"});
+    for (double per_minute : {0.25, 0.5, 1.0, 2.0}) {
+        if (per_minute > 0.25)
+            sweep.addSeparator();
+        const double rate = per_minute / 60.0;
+        for (const auto &[name, lat] :
+             {std::pair{"LIA", &lia_lat}, std::pair{"IPEX", &ipex_lat},
+              std::pair{"FlexGen", &fg_lat}}) {
+            const double wait = pollaczekKhinchineWait(rate, *lat);
+            const bool stable = std::isfinite(wait);
+            sweep.addRow({fmtDouble(per_minute, 2), name,
+                          fmtPercent(rate * lat->mean()),
+                          stable ? fmtSeconds(wait) : "saturated",
+                          stable ? fmtSeconds(wait + lat->mean()) : "-"});
+        }
+    }
+    sweep.print(std::cout);
+    std::cout << "\nShape to expect: FlexGen saturates at arrival rates "
+                 "LIA absorbs comfortably —\nthe service-time advantage "
+                 "becomes sustainable load.\n";
 
-    sim::ServingConfig legacy_cfg;
-    legacy_cfg.arrivalRatePerSecond = rate;
-    legacy_cfg.requests = requests;
-    legacy_cfg.trace = trace::TraceKind::Code;
-    legacy_cfg.maxContext = m.maxSeqLen;
-    legacy_cfg.seed = seed;
-    const auto legacy = sim::simulateServing(
-        legacy_cfg, [&lia](const trace::Request &r) {
-            return lia.estimate(Scenario{1, r.lIn, r.lOut}).latency();
-        });
+    // --- The serving engine at B = 1 against the formula ------------
+    //
+    // The engine prices prefill + per-token decode iterations; capped
+    // at batch 1 it is a serial FIFO server, so its measured
+    // mean queue wait should sit near the P–K wait of its own service
+    // times (response - queue wait), up to sampling noise.
+    const double rate = 1.5 / 60.0;  // 1.5 arrivals/min
 
     obs::ChromeTraceWriter trace;
     serve::Config serve_cfg;
@@ -129,26 +149,29 @@ main(int argc, char **argv)
     serve::ServingEngine engine(sys, m, serve_cfg);
     const auto modern = engine.run();
 
-    std::cout << "\nSanity cross-check at B=1, "
-              << fmtDouble(rate * 60.0, 1)
-              << " arrivals/min (identical arrival sequence):\n";
-    TextTable check({"serving model", "util", "mean resp", "p50 resp",
-                     "p95 resp"});
-    check.addRow({"M/G/1 queue (legacy)",
-                  fmtPercent(legacy.utilisation),
-                  fmtSeconds(legacy.responseTime.mean()),
-                  fmtSeconds(legacy.responseTime.p50()),
-                  fmtSeconds(legacy.responseTime.p95())});
-    check.addRow({"serve engine, maxBatch=1",
+    SampleStats service;
+    for (const auto &r : modern.requests)
+        if (r.state == serve::RequestState::Finished)
+            service.add(r.responseTime() - r.queueWait());
+    const double pk_wait = pollaczekKhinchineWait(rate, service);
+    const bool pk_stable = std::isfinite(pk_wait);
+
+    std::cout << "\nServing engine at B=1, " << fmtDouble(rate * 60.0, 1)
+              << " arrivals/min, code trace:\n";
+    TextTable check({"model", "load", "mean wait", "mean resp"});
+    check.addRow({"engine, maxBatch=1 (measured)",
                   fmtPercent(modern.metrics.utilisation()),
-                  fmtSeconds(modern.metrics.responseTime.mean()),
-                  fmtSeconds(modern.metrics.responseTime.p50()),
-                  fmtSeconds(modern.metrics.responseTime.p95())});
+                  fmtSeconds(modern.metrics.queueWait.mean()),
+                  fmtSeconds(modern.metrics.responseTime.mean())});
+    check.addRow({"M/G/1 P-K on its service times",
+                  fmtPercent(rate * service.mean()),
+                  pk_stable ? fmtSeconds(pk_wait) : "saturated",
+                  pk_stable ? fmtSeconds(pk_wait + service.mean())
+                            : "-"});
     check.print(std::cout);
-    std::cout << "\nThe two agree to within the iteration-pricing "
-                 "bucket granularity — the\ncontinuous-batching "
-                 "engine degenerates to the M/G/1 queue at "
-                 "batch 1.\n";
+    std::cout << "\nAt low load few requests queue at all, so the "
+                 "measured mean is noisy;\nit settles on the P-K wait "
+                 "as the run grows (try 500 requests).\n";
 
     if (!trace_out.empty()) {
         if (trace.writeFile(trace_out))

@@ -32,6 +32,8 @@ main(int argc, char **argv)
 
     const auto sys = hw::sprH100();
     const auto m = model::opt66b();
+    if (const auto why = m.contextOverflow(sc.lIn + sc.lOut); !why.empty())
+        args.usageError(why);
 
     std::cout << "LIA quickstart: " << m.name << " on " << sys.name
               << ", B=" << sc.batch << " L_in=" << sc.lIn

@@ -39,6 +39,8 @@ main(int argc, char **argv)
 
     const auto sys = hw::sprA100();
     auto m = model::opt30b();
+    if (const auto why = m.contextOverflow(context); !why.empty())
+        args.usageError(why);
     m.numLayers = layers;  // a short excerpt keeps the diagram legible
 
     core::CostModel cm(sys, m, {});

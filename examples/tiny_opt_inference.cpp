@@ -37,6 +37,8 @@ main(int argc, char **argv)
 
     const auto sys = hw::sprA100();
     const auto m = model::tinyOpt();
+    if (const auto why = m.contextOverflow(l_in + l_out); !why.empty())
+        args.usageError(why);
     Rng rng(2024);
     auto weights = runtime::TransformerWeights::random(m, rng);
 

@@ -144,12 +144,18 @@ ArgParser::positionalNumber(std::size_t index, const std::string &name,
     const std::string &text = positional_[index];
     T value{};
     if (!parseNumber(text, value)) {
-        std::cerr << program_ << ": argument " << name << " wants "
-                  << numberKind<T>() << ", got \"" << text << "\"\n"
-                  << "usage: " << program_ << " " << usage_ << "\n";
-        std::exit(2);
+        usageError("argument " + name + " wants " + numberKind<T>() +
+                   ", got \"" + text + "\"");
     }
     return value;
+}
+
+void
+ArgParser::usageError(const std::string &message) const
+{
+    std::cerr << program_ << ": " << message << "\n"
+              << "usage: " << program_ << " " << usage_ << "\n";
+    std::exit(2);
 }
 
 template std::int64_t ArgParser::positionalNumber(std::size_t,

@@ -23,8 +23,8 @@ class ArgParser
   public:
     /**
      * @param usage  the program's arguments as its usage line shows
-     *               them (e.g. "[l_in] [l_out]"), printed when a
-     *               positional argument is malformed
+     *               them (e.g. "[l_in] [l_out]"), printed by
+     *               usageError
      */
     ArgParser(int argc, const char *const *argv, std::string usage = "");
 
@@ -53,12 +53,19 @@ class ArgParser
      * Positional argument @p index as a number (T is std::int64_t or
      * double), or @p fallback when there are fewer arguments. A value
      * that is not wholly a number of that kind — the same test as
-     * getInt/getDouble — prints which argument @p name it is and the
-     * usage line to stderr and exits with status 2.
+     * getInt/getDouble — exits through usageError naming argument
+     * @p name.
      */
     template <typename T>
     T positionalNumber(std::size_t index, const std::string &name,
                        T fallback) const;
+
+    /**
+     * Print "<program>: @p message" and the usage line to stderr and
+     * exit with status 2: the one exit for arguments the program
+     * cannot take, malformed or out of range.
+     */
+    [[noreturn]] void usageError(const std::string &message) const;
 
     /** Positional arguments in order. */
     const std::vector<std::string> &positional() const

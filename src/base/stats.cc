@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "base/logging.hh"
 
@@ -92,6 +93,20 @@ SampleStats::percentile(double pct) const
     if (lo + 1 >= samples_.size())
         return samples_.back();
     return samples_[lo] * (1.0 - frac) + samples_[lo + 1] * frac;
+}
+
+double
+pollaczekKhinchineWait(double rate, const SampleStats &service)
+{
+    const double s1 = service.mean();
+    double s2 = 0;
+    for (double v : service.samples())
+        s2 += v * v;
+    s2 /= static_cast<double>(service.count());
+    const double rho = rate * s1;
+    if (rho >= 1.0)
+        return std::numeric_limits<double>::infinity();
+    return rate * s2 / (2.0 * (1.0 - rho));
 }
 
 } // namespace lia

@@ -2,9 +2,9 @@
  * @file
  * Summary statistics over sample sets.
  *
- * Used by the serving-queue simulation and the examples to report
- * latency distributions (mean / percentiles / extremes) the way the
- * paper's latency-driven scenarios are judged.
+ * Used by the serving engine and the examples to report latency
+ * distributions (mean / percentiles / extremes) the way the paper's
+ * latency-driven scenarios are judged.
  *
  * SampleStats keeps every sample so it can answer order-statistic
  * queries (p50/p95/p99); it is the value type used by serve::Metrics
@@ -69,6 +69,15 @@ class SampleStats
     std::vector<double> samples_;
     mutable bool sorted_ = true;
 };
+
+/**
+ * Pollaczek–Khinchine mean wait of an M/G/1 FIFO queue: Poisson
+ * arrivals at @p rate per second onto one server whose service times
+ * follow @p service's samples, W = rate·E[S²] / (2(1 − ρ)) with load
+ * ρ = rate·E[S]. +inf when ρ >= 1, where the queue has no steady
+ * state.
+ */
+double pollaczekKhinchineWait(double rate, const SampleStats &service);
 
 } // namespace lia
 

@@ -14,8 +14,8 @@
 #include "obs/sink.hh"
 #include "serve/instance.hh"
 #include "serve/tracks.hh"
+#include "sim/arrivals.hh"
 #include "sim/event_queue.hh"
-#include "sim/serving.hh"
 #include "trace/azure.hh"
 
 namespace lia {

@@ -74,6 +74,15 @@ ModelConfig::validate() const
                name, ": bad weight precision");
 }
 
+std::string
+ModelConfig::contextOverflow(std::int64_t tokens) const
+{
+    if (tokens <= maxSeqLen)
+        return "";
+    return "context of " + std::to_string(tokens) + " tokens exceeds " +
+           name + "'s " + std::to_string(maxSeqLen) + "-token limit";
+}
+
 const char *
 toString(WeightPrecision precision)
 {

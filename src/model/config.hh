@@ -66,6 +66,14 @@ struct ModelConfig
 
     /** Validate internal consistency; panics on malformed configs. */
     void validate() const;
+
+    /**
+     * Why a context of @p tokens does not fit this model ("context of
+     * 4032 tokens exceeds OPT-30B's 2048-token limit"), or "" when it
+     * fits. Front ends hand a non-empty answer to
+     * ArgParser::usageError; the engines assert the bound instead.
+     */
+    std::string contextOverflow(std::int64_t tokens) const;
 };
 
 /** Weight storage precision for quantized variants. */

@@ -813,74 +813,6 @@ scalarMatmul(const Tensor &a, const Tensor &b, const Tensor &bias,
     return c;
 }
 
-Tensor
-matmul(const Tensor &a, const Tensor &b, const Tensor &bias,
-       const KernelOptions &opts)
-{
-    obs::KernelProfiler::Scope profile(opts.profiler, "matmul");
-    LIA_ASSERT(a.ndim() == 2 && b.ndim() == 2, "matmul wants 2-D");
-    const std::int64_t m = a.dim(0);
-    const std::int64_t k = a.dim(1);
-    const std::int64_t n = b.dim(1);
-    LIA_ASSERT(b.dim(0) == k, "matmul inner dimension mismatch: ",
-               k, " vs ", b.dim(0));
-    const bool has_bias = !bias.empty();
-    if (has_bias) {
-        LIA_ASSERT(bias.ndim() == 1 && bias.dim(0) == n,
-                   "bias shape mismatch");
-    }
-
-    Tensor c({m, n});
-    const float *pa = a.data();
-    const float *pb = b.data();
-    const float *pbias = has_bias ? bias.data() : nullptr;
-    float *pc = c.data();
-    if (m >= 4) {
-        // Whole-output-row partition: every element of a row is
-        // produced by one chunk in the reference's i-k-j order.
-        const double row_ns = 0.25 * static_cast<double>(n * k);
-        parallelRun(opts, m, row_ns, [&](std::int64_t i0, std::int64_t i1) {
-            for (std::int64_t i = i0; i < i1; ++i) {
-                float *crow = pc + i * n;
-                if (has_bias) {
-                    for (std::int64_t j = 0; j < n; ++j)
-                        crow[j] = pbias[j];
-                }
-                const float *arow = pa + i * k;
-                for (std::int64_t kk = 0; kk < k; ++kk) {
-                    const float av = arow[kk];
-                    const float *brow = pb + kk * n;
-                    for (std::int64_t j = 0; j < n; ++j)
-                        crow[j] += av * brow[j];
-                }
-            }
-        });
-    } else {
-        // Skinny (decode) shapes: partition output columns instead;
-        // each element still accumulates k-ascending.
-        const double column_ns = 0.5 * static_cast<double>(m * k);
-        parallelRun(opts, n, column_ns, [&](std::int64_t j0,
-                                            std::int64_t j1) {
-            for (std::int64_t i = 0; i < m; ++i) {
-                float *crow = pc + i * n;
-                if (has_bias) {
-                    for (std::int64_t j = j0; j < j1; ++j)
-                        crow[j] = pbias[j];
-                }
-                const float *arow = pa + i * k;
-                for (std::int64_t kk = 0; kk < k; ++kk) {
-                    const float av = arow[kk];
-                    const float *brow = pb + kk * n;
-                    for (std::int64_t j = j0; j < j1; ++j)
-                        crow[j] += av * brow[j];
-                }
-            }
-        });
-    }
-    maybeRound(c, opts);
-    return c;
-}
-
 std::int64_t
 PackedInt8Matrix::tiles() const
 {
@@ -897,14 +829,13 @@ int8PackViable(std::int64_t k)
     return k > 0 && (k + 1) / 2 <= int32_max / pair_max;
 }
 
-namespace {
-
-/** Shared body of the two int8 pack flavours: @p at(kk, jj) reads the
- *  logical (k, n) element with jj already offset into the tile. */
-template <typename At>
 PackedInt8Matrix
-packInt8Impl(std::int64_t k, std::int64_t n, const At &at)
+packColumnsInt8(const Tensor &b)
 {
+    LIA_ASSERT(b.ndim() == 2, "packColumnsInt8 wants 2-D");
+    const std::int64_t k = b.dim(0);
+    const std::int64_t n = b.dim(1);
+    const float *pb = b.data();
     LIA_ASSERT(int8PackViable(k),
                "reduction extent ", k, " too deep for int8 int32 "
                "accumulation — keep this tensor on the fp32 path");
@@ -922,7 +853,7 @@ packInt8Impl(std::int64_t k, std::int64_t n, const At &at)
         float absmax = 0.0f;
         for (std::int64_t kk = 0; kk < k; ++kk)
             for (std::int64_t jj = 0; jj < jw; ++jj)
-                absmax = std::max(absmax, std::fabs(at(kk, j0 + jj)));
+                absmax = std::max(absmax, std::fabs(pb[kk * n + j0 + jj]));
         if (absmax == 0.0f)
             continue;  // scale 0, all-zero codes
         const float inv = 127.0f / absmax;
@@ -932,7 +863,7 @@ packInt8Impl(std::int64_t k, std::int64_t n, const At &at)
         for (std::int64_t kk = 0; kk < k; ++kk) {
             for (std::int64_t jj = 0; jj < jw; ++jj) {
                 const long q =
-                    std::lrintf(at(kk, j0 + jj) * inv);
+                    std::lrintf(pb[kk * n + j0 + jj] * inv);
                 tile[(kk / 2) * 2 * kPackTileWidth + jj * 2 +
                      (kk & 1)] = static_cast<std::int8_t>(
                     std::clamp(q, -127l, 127l));
@@ -940,32 +871,6 @@ packInt8Impl(std::int64_t k, std::int64_t n, const At &at)
         }
     }
     return p;
-}
-
-} // namespace
-
-PackedInt8Matrix
-packColumnsInt8(const Tensor &b)
-{
-    LIA_ASSERT(b.ndim() == 2, "packColumnsInt8 wants 2-D");
-    const std::int64_t k = b.dim(0);
-    const std::int64_t n = b.dim(1);
-    const float *pb = b.data();
-    return packInt8Impl(k, n, [&](std::int64_t kk, std::int64_t j) {
-        return pb[kk * n + j];
-    });
-}
-
-PackedInt8Matrix
-packTransposedInt8(const Tensor &b)
-{
-    LIA_ASSERT(b.ndim() == 2, "packTransposedInt8 wants 2-D");
-    const std::int64_t k = b.dim(1);
-    const std::int64_t n = b.dim(0);
-    const float *pb = b.data();
-    return packInt8Impl(k, n, [&](std::int64_t kk, std::int64_t j) {
-        return pb[j * k + kk];
-    });
 }
 
 namespace {
@@ -1240,7 +1145,7 @@ scalarMatmulTransposed(const Tensor &a, const Tensor &b,
 {
     obs::KernelProfiler::Scope profile(opts.profiler, "scalar_matmul_transposed");
     LIA_ASSERT(a.ndim() == 2 && b.ndim() == 2,
-               "matmulTransposed wants 2-D");
+               "scalarMatmulTransposed wants 2-D");
     const std::int64_t m = a.dim(0);
     const std::int64_t k = a.dim(1);
     const std::int64_t n = b.dim(0);
@@ -1260,62 +1165,6 @@ scalarMatmulTransposed(const Tensor &a, const Tensor &b,
     }
     maybeRound(c, KernelOptions{opts.bf16Rounding, nullptr});
     return c;
-}
-
-Tensor
-matmulTransposed(const Tensor &a, const Tensor &b,
-                 const KernelOptions &opts)
-{
-    obs::KernelProfiler::Scope profile(opts.profiler, "matmul_transposed");
-    LIA_ASSERT(a.ndim() == 2 && b.ndim() == 2,
-               "matmulTransposed wants 2-D");
-    const std::int64_t m = a.dim(0);
-    const std::int64_t k = a.dim(1);
-    const std::int64_t n = b.dim(0);
-    LIA_ASSERT(b.dim(1) == k, "inner dimension mismatch");
-
-    Tensor c({m, n});
-    const float *pa = a.data();
-    const float *pb = b.data();
-    float *pc = c.data();
-    // Each output element is one dot product accumulated k-ascending;
-    // partition rows when there are enough, columns otherwise.
-    const auto dotRange = [&](std::int64_t i0, std::int64_t i1,
-                              std::int64_t j0, std::int64_t j1) {
-        for (std::int64_t i = i0; i < i1; ++i) {
-            const float *arow = pa + i * k;
-            float *crow = pc + i * n;
-            for (std::int64_t j = j0; j < j1; ++j) {
-                const float *brow = pb + j * k;
-                float acc = 0.0f;
-                for (std::int64_t kk = 0; kk < k; ++kk)
-                    acc += arow[kk] * brow[kk];
-                crow[j] = acc;
-            }
-        }
-    };
-    // One dot product is a single accumulator chain: about 1 ns per
-    // multiply-add.
-    if (m >= 4) {
-        parallelRun(opts, m, static_cast<double>(n * k),
-                    [&](std::int64_t i0, std::int64_t i1) {
-                        dotRange(i0, i1, 0, n);
-                    });
-    } else {
-        parallelRun(opts, n, static_cast<double>(m * k),
-                    [&](std::int64_t j0, std::int64_t j1) {
-                        dotRange(0, m, j0, j1);
-                    });
-    }
-    maybeRound(c, opts);
-    return c;
-}
-
-void
-softmaxRows(Tensor &t, const KernelOptions &opts)
-{
-    // An offset past the final column disables the causal mask.
-    causalSoftmaxRows(t, t.dim(1), opts);
 }
 
 void
@@ -1392,11 +1241,11 @@ scalarAttention(const Tensor &q, std::span<const KvLayerView> kv,
                     vh.at(i, c) = view.v[at + c];
                 }
             }
-            Tensor scores = matmulTransposed(qh, kh, serial);
+            Tensor scores = scalarMatmulTransposed(qh, kh, serial);
             for (std::int64_t i = 0; i < scores.numel(); ++i)
                 scores.data()[i] *= scale;
             causalSoftmaxRows(scores, len - tokens, serial);
-            Tensor ctx = matmul(scores, vh, Tensor(), serial);
+            Tensor ctx = scalarMatmul(scores, vh, Tensor(), serial);
             for (std::int64_t t = 0; t < tokens; ++t)
                 for (std::int64_t c = 0; c < headDim; ++c)
                     out.at(b * tokens + t, h * headDim + c) = ctx.at(t, c);

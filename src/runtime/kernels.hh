@@ -60,8 +60,8 @@ struct KernelOptions
  * kPackTileWidth — layout [tile][k][tileWidth], zero-padded in the
  * final tile — so the microkernel streams one contiguous, cache-
  * resident buffer per tile. Packing is layout-only: matmulPacked
- * accumulates in exactly the scalar reference's k-order, so results
- * are bit-identical to the unpacked kernels.
+ * accumulates in exactly scalarMatmul's k-order, so results are
+ * bit-identical to it.
  */
 struct PackedMatrix
 {
@@ -80,10 +80,10 @@ struct PackedMatrix
 /** Column-tile width of PackedMatrix (8 floats = two SSE vectors). */
 inline constexpr std::int64_t kPackTileWidth = 8;
 
-/** Pack a (k, n) operand of matmul. */
+/** Pack a (k, n) operand. */
 PackedMatrix packColumns(const Tensor &b);
 
-/** Pack a (n, k) operand of matmulTransposed (logical B^T). */
+/** Pack a (n, k) operand as its logical (k, n) transpose B^T. */
 PackedMatrix packTransposed(const Tensor &b);
 
 /**
@@ -134,38 +134,26 @@ struct PackedInt8Matrix
  */
 bool int8PackViable(std::int64_t k);
 
-/** Quantize + pack a (k, n) operand of matmul into int8 tiles. */
+/** Quantize + pack a (k, n) operand into int8 tiles. */
 PackedInt8Matrix packColumnsInt8(const Tensor &b);
-
-/** Quantize + pack a (n, k) operand (logical B^T) into int8 tiles. */
-PackedInt8Matrix packTransposedInt8(const Tensor &b);
-
-/**
- * C = A x B (+ bias broadcast over rows).
- *
- * @param a      (m, k)
- * @param b      (k, n)
- * @param bias   optional (n); pass empty tensor to skip
- */
-Tensor matmul(const Tensor &a, const Tensor &b, const Tensor &bias,
-              const KernelOptions &opts = {});
-
-/** C = A x B^T, with A (m, k) and B (n, k). */
-Tensor matmulTransposed(const Tensor &a, const Tensor &b,
-                        const KernelOptions &opts = {});
 
 /**
  * C = A x B (+ bias) against a pre-packed operand: the register-
  * blocked tile microkernel behind the executor's weight matmuls.
- * Bit-identical to matmul(a, unpacked, bias) at any thread count.
+ * Bit-identical to scalarMatmul(a, unpacked, bias) at any thread
+ * count.
  */
 Tensor matmulPacked(const Tensor &a, const PackedMatrix &b,
                     const Tensor &bias, const KernelOptions &opts = {});
 
 /**
- * Retained single-thread scalar references (the pre-blocking kernels).
- * The parallel/blocked paths must match them bit for bit; the property
- * suite and the kernel-throughput benchmark both compare against them.
+ * Retained single-thread scalar references. The packed and tiered
+ * kernels must match them bit for bit; the property suites and the
+ * kernel-throughput benchmark compare against them.
+ *
+ * scalarMatmul: C = A x B (+ bias broadcast over rows), A (m, k),
+ * B (k, n), bias (n) or an empty tensor to skip it.
+ * scalarMatmulTransposed: C = A x B^T, with A (m, k) and B (n, k).
  */
 Tensor scalarMatmul(const Tensor &a, const Tensor &b, const Tensor &bias,
                     const KernelOptions &opts = {});
@@ -238,12 +226,11 @@ const KernelTier *avx512KernelTier();
  *  once per process. */
 const KernelTier &activeKernelTier();
 
-/** Row-wise softmax over the last axis of a 2-D tensor. */
-void softmaxRows(Tensor &t, const KernelOptions &opts = {});
-
 /**
  * Row-wise softmax with a causal mask: row i may attend to columns
- * 0..(offset + i); later columns receive zero probability.
+ * 0..(offset + i); later columns receive zero probability. An offset
+ * of at least the column count disables the mask. The softmax of
+ * scalarAttention; the runtime's own runs inside the attention tiers.
  */
 void causalSoftmaxRows(Tensor &t, std::int64_t offset,
                        const KernelOptions &opts = {});
@@ -275,7 +262,8 @@ Tensor attention(const Tensor &q, std::span<const KvLayerView> kv,
 /**
  * Retained single-thread reference of attention(): per row and head,
  * copy Q, K and V out into dense tensors, then compose
- * matmulTransposed, the score scaling, causalSoftmaxRows and matmul.
+ * scalarMatmulTransposed, the score scaling, causalSoftmaxRows and
+ * scalarMatmul.
  */
 Tensor scalarAttention(const Tensor &q, std::span<const KvLayerView> kv,
                        std::int64_t tokens, std::int64_t heads,

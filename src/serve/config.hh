@@ -2,13 +2,13 @@
  * @file
  * Configuration of the continuous-batching serving engine.
  *
- * The engine generalises the M/G/1 serving queue (sim/serving.hh) to
- * iteration-level scheduling: requests join and leave the running
- * batch between engine iterations, and every iteration is priced by
- * the LIA analytical engine at the *current* dynamic batch size. The
- * scheduler policy selects between the Orca-style continuous batcher,
- * the static FIFO baseline, and an SLO-aware variant with admission
- * control.
+ * The engine generalises a single M/G/1 serving queue (which it is at
+ * maxBatch = 1) to iteration-level scheduling: requests join and leave
+ * the running batch between engine iterations, and every iteration is
+ * priced by the LIA analytical engine at the *current* dynamic batch
+ * size. The scheduler policy selects between the Orca-style continuous
+ * batcher, the static FIFO baseline, and an SLO-aware variant with
+ * admission control.
  */
 
 #ifndef LIA_SERVE_CONFIG_HH

@@ -7,8 +7,8 @@
 #include "core/capacity_planner.hh"
 #include "serve/backend.hh"
 #include "serve/instance.hh"
+#include "sim/arrivals.hh"
 #include "sim/event_queue.hh"
-#include "sim/serving.hh"
 #include "trace/azure.hh"
 #include "trace/sharing.hh"
 

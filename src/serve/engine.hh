@@ -8,9 +8,9 @@
  * preemptive), KV admission with optional CXL spill, chunked prefill,
  * swap transfers on a DDR<->CXL channel, and every iteration priced
  * by the LIA analytical engine at the batch size it actually ran at.
- * This replaces the single-request M/G/1 view (sim/serving.hh) with
- * the batch-size-dependent serving model the paper's Fig. 9 policy
- * map implies.
+ * It is the repo's one online-serving model: at maxBatch = 1 it is the
+ * single-request M/G/1 server, and above that the batch-size-dependent
+ * serving model the paper's Fig. 9 policy map implies.
  */
 
 #ifndef LIA_SERVE_ENGINE_HH

@@ -152,6 +152,20 @@ TEST(ArgParserDeathTest, MalformedPositionalExitsTwoNamingTheArgument)
                 "usage: prog \\[l_in\\] \\[l_out\\]");
 }
 
+TEST(ArgParserDeathTest, UsageErrorExitsTwoWithTheMessageAndUsageLine)
+{
+    // The exit the examples take for an out-of-range argument, such as
+    // a context longer than the model's.
+    const char *argv[] = {"prog", "4000", "32"};
+    const ArgParser args(3, argv, "[l_in] [l_out]");
+    EXPECT_EXIT(args.usageError("context of 4032 tokens exceeds "
+                                "OPT-30B's 2048-token limit"),
+                ::testing::ExitedWithCode(2),
+                "prog: context of 4032 tokens exceeds OPT-30B's "
+                "2048-token limit\n"
+                "usage: prog \\[l_in\\] \\[l_out\\]");
+}
+
 TEST(ArgParserDeathTest, PartlyNumericPositionalsExitTwo)
 {
     const char *argv[] = {"prog", "8x", "1.5", "2.5/s", " 4",

@@ -107,6 +107,14 @@ TEST(ModelConfigTest, TinyModelValidates)
     EXPECT_NO_THROW(m.validate());
 }
 
+TEST(ModelConfigTest, ContextOverflowNamesTheLimit)
+{
+    const auto m = opt30b();
+    EXPECT_EQ(m.contextOverflow(2048), "");
+    EXPECT_EQ(m.contextOverflow(2049),
+              "context of 2049 tokens exceeds OPT-30B's 2048-token limit");
+}
+
 TEST(ModelConfigTest, ValidateRejectsMismatchedHeads)
 {
     lia::detail::setThrowOnError(true);

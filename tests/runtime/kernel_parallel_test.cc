@@ -4,13 +4,14 @@
  * contract (DESIGN.md §7).
  *
  * Random GEMM shapes — including m=1 decode rows and ragged k/n that
- * leave partial column tiles — run through matmul, matmulPacked, and
- * matmulTransposed at thread pools of 1, 2, and the host default, and
- * every output must equal the retained scalar reference EXACTLY (bit
- * for bit, not within a tolerance): blocking, packing, and threading
- * are layout/schedule changes only. The row-wise and elementwise
- * kernels get the same treatment, and a full greedy decode across
- * executors pinned to different pools must emit identical tokens.
+ * leave partial column tiles — run through matmulPacked on a column
+ * pack of B and on a transposed pack of B^T at thread pools of 1, 2,
+ * and the host default, and every output must equal scalarMatmul
+ * EXACTLY (bit for bit, not within a tolerance): blocking, packing,
+ * and threading are layout/schedule changes only. The row-wise and
+ * elementwise kernels get the same treatment, and a full greedy decode
+ * across executors pinned to different pools must emit identical
+ * tokens.
  *
  * Scenario count scales with LIA_PROPERTY_SCENARIOS (the nightly CI
  * job raises it past the default ~200 shapes).
@@ -130,16 +131,12 @@ TEST(KernelParallelProperty, GemmsMatchScalarReferenceBitForBit)
 
         const KernelOptions serial{round, nullptr};
         const Tensor ref = scalarMatmul(a, b, bias, serial);
-        const Tensor refT = scalarMatmulTransposed(a, bt, serial);
         const PackedMatrix packed = packColumns(b);
         const PackedMatrix packedT = packTransposed(bt);
 
         for (const auto &pool : pools) {
             const KernelOptions opts{round, pool.get()};
             const int threads = pool ? pool->threadCount() : 0;
-            ASSERT_TRUE(bitIdentical(matmul(a, b, bias, opts), ref))
-                << "matmul " << s.m << "x" << s.k << "x" << s.n
-                << " at " << threads << " threads";
             ASSERT_TRUE(
                 bitIdentical(matmulPacked(a, packed, bias, opts), ref))
                 << "matmulPacked " << s.m << "x" << s.k << "x" << s.n
@@ -148,10 +145,6 @@ TEST(KernelParallelProperty, GemmsMatchScalarReferenceBitForBit)
                 bitIdentical(matmulPacked(a, packedT, bias, opts), ref))
                 << "matmulPacked(transposed pack) " << s.m << "x" << s.k
                 << "x" << s.n << " at " << threads << " threads";
-            ASSERT_TRUE(
-                bitIdentical(matmulTransposed(a, bt, opts), refT))
-                << "matmulTransposed " << s.m << "x" << s.k << "x"
-                << s.n << " at " << threads << " threads";
         }
     }
 }
@@ -176,8 +169,6 @@ TEST(KernelParallelProperty, RowAndElementwiseKernelsMatchSerial)
 
         const KernelOptions serial{true, nullptr};
         const Tensor ln_ref = layerNorm(x, g, bb, serial);
-        Tensor sm_ref = x.clone();
-        softmaxRows(sm_ref, serial);
         Tensor csm_ref = x.clone();
         causalSoftmaxRows(csm_ref, offset, serial);
         Tensor relu_ref = x.clone();
@@ -193,9 +184,6 @@ TEST(KernelParallelProperty, RowAndElementwiseKernelsMatchSerial)
                 continue;
             const KernelOptions opts{true, pool.get()};
             ASSERT_TRUE(bitIdentical(layerNorm(x, g, bb, opts), ln_ref));
-            Tensor sm = x.clone();
-            softmaxRows(sm, opts);
-            ASSERT_TRUE(bitIdentical(sm, sm_ref));
             Tensor csm = x.clone();
             causalSoftmaxRows(csm, offset, opts);
             ASSERT_TRUE(bitIdentical(csm, csm_ref));

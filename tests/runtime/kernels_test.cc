@@ -30,7 +30,7 @@ TEST(MatmulTest, TwoByTwoKnownResult)
     Tensor b({2, 2});
     b.at(0, 0) = 5; b.at(0, 1) = 6;
     b.at(1, 0) = 7; b.at(1, 1) = 8;
-    const Tensor c = matmul(a, b, Tensor(), kExact);
+    const Tensor c = scalarMatmul(a, b, Tensor(), kExact);
     EXPECT_EQ(c.at(0, 0), 19);
     EXPECT_EQ(c.at(0, 1), 22);
     EXPECT_EQ(c.at(1, 0), 43);
@@ -44,7 +44,7 @@ TEST(MatmulTest, IdentityIsNeutral)
     Tensor eye({4, 4});
     for (int i = 0; i < 4; ++i)
         eye.at(i, i) = 1.0f;
-    const Tensor c = matmul(a, eye, Tensor(), kExact);
+    const Tensor c = scalarMatmul(a, eye, Tensor(), kExact);
     EXPECT_EQ(c.maxAbsDiff(a), 0.0);
 }
 
@@ -59,7 +59,7 @@ TEST(MatmulTest, BiasBroadcastsOverRows)
     Tensor bias({2});
     bias.at(0) = 1;
     bias.at(1) = -1;
-    const Tensor c = matmul(a, b, bias, kExact);
+    const Tensor c = scalarMatmul(a, b, bias, kExact);
     EXPECT_EQ(c.at(0, 0), 11);
     EXPECT_EQ(c.at(0, 1), 19);
     EXPECT_EQ(c.at(1, 0), 21);
@@ -75,8 +75,8 @@ TEST(MatmulTest, TransposedAgreesWithExplicitTranspose)
     for (int i = 0; i < 4; ++i)
         for (int k = 0; k < 5; ++k)
             bt.at(k, i) = b.at(i, k);
-    const Tensor c1 = matmulTransposed(a, b, kExact);
-    const Tensor c2 = matmul(a, bt, Tensor(), kExact);
+    const Tensor c1 = scalarMatmulTransposed(a, b, kExact);
+    const Tensor c2 = scalarMatmul(a, bt, Tensor(), kExact);
     EXPECT_LT(c1.maxAbsDiff(c2), 1e-5);
 }
 
@@ -84,7 +84,7 @@ TEST(SoftmaxTest, RowsSumToOne)
 {
     Rng rng(3);
     Tensor t = Tensor::randomNormal({8, 16}, rng, 2.0);
-    softmaxRows(t, kExact);
+    causalSoftmaxRows(t, t.dim(1), kExact);  // unmasked
     for (int i = 0; i < 8; ++i) {
         float sum = 0;
         for (int j = 0; j < 16; ++j) {
@@ -102,8 +102,8 @@ TEST(SoftmaxTest, InvariantToRowShift)
     Tensor b = a.clone();
     for (int j = 0; j < 3; ++j)
         b.at(0, j) += 100.0f;
-    softmaxRows(a, kExact);
-    softmaxRows(b, kExact);
+    causalSoftmaxRows(a, 3, kExact);
+    causalSoftmaxRows(b, 3, kExact);
     EXPECT_LT(a.maxAbsDiff(b), 1e-5);
 }
 
@@ -258,8 +258,8 @@ TEST(KernelTest, Bf16RoundingChangesResultsSlightly)
     Rng rng(7);
     const Tensor a = Tensor::randomNormal({16, 32}, rng, 1.0);
     const Tensor b = Tensor::randomNormal({32, 16}, rng, 1.0);
-    const Tensor exact = matmul(a, b, Tensor(), kExact);
-    const Tensor rounded = matmul(a, b, Tensor(), KernelOptions{true});
+    const Tensor exact = scalarMatmul(a, b, Tensor(), kExact);
+    const Tensor rounded = scalarMatmul(a, b, Tensor(), KernelOptions{true});
     const double diff = exact.maxAbsDiff(rounded);
     EXPECT_GT(diff, 0.0);
     EXPECT_LT(diff, 0.1);
@@ -269,7 +269,7 @@ TEST(MatmulTest, InnerDimensionMismatchPanics)
 {
     lia::detail::setThrowOnError(true);
     Tensor a({2, 3}), b({4, 2});
-    EXPECT_THROW(matmul(a, b, Tensor(), kExact), std::logic_error);
+    EXPECT_THROW(scalarMatmul(a, b, Tensor(), kExact), std::logic_error);
     lia::detail::setThrowOnError(false);
 }
 
