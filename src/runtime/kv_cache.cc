@@ -38,104 +38,165 @@ copyBatchRows(float *dst, std::int64_t dst_stride, const float *src,
                     sizeof(float) * static_cast<std::size_t>(count));
 }
 
+/** Plane offset of token 0 of (@p layer, K = 0 / V = 1, batch row). */
+std::size_t
+rowOffset(const KvSpan &span, std::int64_t layer, int side,
+          std::int64_t row)
+{
+    return static_cast<std::size_t>(
+        ((layer * 2 + side) * span.batch + row) * span.length *
+        span.width);
+}
+
+/**
+ * Narrow @p count floats from @p src into @p span's planes at plane
+ * offset @p at. The low plane is allocated (zeroed) the first time a
+ * value with non-zero low bits arrives.
+ */
+void
+narrowInto(KvSpan &span, std::size_t at, const float *src,
+           std::int64_t count)
+{
+    std::uint16_t *high = span.high.data() + at;
+    std::uint32_t lowBits = 0;
+    for (std::int64_t i = 0; i < count; ++i) {
+        std::uint32_t bits;
+        std::memcpy(&bits, src + i, sizeof(bits));
+        high[i] = static_cast<std::uint16_t>(bits >> 16);
+        lowBits |= bits & 0xffffu;
+    }
+    if (lowBits == 0)
+        return;
+    if (span.low.empty())
+        span.low.assign(span.high.size(), 0);
+    std::uint16_t *low = span.low.data() + at;
+    for (std::int64_t i = 0; i < count; ++i) {
+        std::uint32_t bits;
+        std::memcpy(&bits, src + i, sizeof(bits));
+        low[i] = static_cast<std::uint16_t>(bits);
+    }
+}
+
+/** Widen @p count values of @p span from plane offset @p at. */
+void
+widenFrom(float *dst, const KvSpan &span, std::size_t at,
+          std::int64_t count)
+{
+    const std::uint16_t *high = span.high.data() + at;
+    const std::uint16_t *low =
+        span.low.empty() ? nullptr : span.low.data() + at;
+    for (std::int64_t i = 0; i < count; ++i) {
+        const std::uint32_t bits =
+            static_cast<std::uint32_t>(high[i]) << 16 |
+            (low != nullptr ? low[i] : 0u);
+        std::memcpy(dst + i, &bits, sizeof(bits));
+    }
+}
+
+/** A span of this geometry with a zeroed high plane and no low one. */
+KvSpan
+shapedSpan(std::int64_t layers, std::int64_t batch, std::int64_t width,
+           std::int64_t length)
+{
+    KvSpan span;
+    span.length = length;
+    span.layers = layers;
+    span.batch = batch;
+    span.width = width;
+    span.bytes = spanBf16Bytes(batch, length, width, layers);
+    span.high.resize(
+        static_cast<std::size_t>(2 * layers * batch * length * width));
+    return span;
+}
+
+/** Copy of tokens [@p from, @p to) of @p span. */
+KvSpan
+tokenRange(const KvSpan &span, std::int64_t from, std::int64_t to)
+{
+    KvSpan out =
+        shapedSpan(span.layers, span.batch, span.width, to - from);
+    if (!span.low.empty())
+        out.low.resize(out.high.size());
+    const auto count = static_cast<std::size_t>(out.length * span.width);
+    const auto skip = static_cast<std::size_t>(from * span.width);
+    for (std::int64_t l = 0; l < span.layers; ++l) {
+        for (int side = 0; side < 2; ++side) {
+            for (std::int64_t b = 0; b < span.batch; ++b) {
+                const std::size_t src =
+                    rowOffset(span, l, side, b) + skip;
+                const std::size_t dst = rowOffset(out, l, side, b);
+                std::copy_n(span.high.begin() + src, count,
+                            out.high.begin() + dst);
+                if (!span.low.empty())
+                    std::copy_n(span.low.begin() + src, count,
+                                out.low.begin() + dst);
+            }
+        }
+    }
+    // The range may hold no value with low bits of its own.
+    if (std::all_of(out.low.begin(), out.low.end(),
+                    [](std::uint16_t bits) { return bits == 0; }))
+        out.low = {};
+    return out;
+}
+
+/** One widened element of side @p side (K = 0, V = 1). */
+float
+spanElement(const KvSpan &span, int side, std::int64_t layer,
+            std::int64_t row, std::int64_t token, std::int64_t column)
+{
+    LIA_ASSERT(layer >= 0 && layer < span.layers && row >= 0 &&
+                   row < span.batch && token >= 0 &&
+                   token < span.length && column >= 0 &&
+                   column < span.width,
+               "span element (", layer, ", ", row, ", ", token, ", ",
+               column, ") out of range");
+    float out;
+    widenFrom(&out, span,
+              rowOffset(span, layer, side, row) +
+                  static_cast<std::size_t>(token * span.width + column),
+              1);
+    return out;
+}
+
 } // namespace
 
-bool
-KvSnapshot::compact() const
+float
+KvSpan::key(std::int64_t layer, std::int64_t row, std::int64_t token,
+            std::int64_t column) const
 {
-    if (empty())
-        return length == 0;
-    const Tensor &front = keys.front();
-    if (front.ndim() != 3 || values.size() != keys.size())
-        return false;
-    // Every layer's K and V share one shape, so the span copies can
-    // run as flat row copies.
-    const std::vector<std::int64_t> shape{front.dim(0), length,
-                                          front.dim(2)};
-    for (std::size_t l = 0; l < keys.size(); ++l) {
-        if (keys[l].shape() != shape || values[l].shape() != shape)
-            return false;
-    }
-    return true;
+    return spanElement(*this, 0, layer, row, token, column);
 }
 
-KvSnapshot
-KvSnapshot::splitHead(std::int64_t tokens)
+float
+KvSpan::value(std::int64_t layer, std::int64_t row, std::int64_t token,
+              std::int64_t column) const
 {
-    LIA_ASSERT(compact(), "splitHead needs a compact snapshot");
+    return spanElement(*this, 1, layer, row, token, column);
+}
+
+double
+KvSpan::heldBytes() const
+{
+    return 2.0 * static_cast<double>(high.size() + low.size());
+}
+
+KvSpan
+KvSpan::splitHead(std::int64_t tokens)
+{
     LIA_ASSERT(tokens > 0 && tokens < length,
                "splitHead tokens ", tokens, " out of (0, ", length, ")");
-    const std::int64_t batch = keys.front().dim(0);
-    const std::int64_t kv = keys.front().dim(2);
-    const std::int64_t layers =
-        static_cast<std::int64_t>(keys.size());
-
-    KvSnapshot head;
-    head.length = tokens;
-    head.bytes = spanBf16Bytes(batch, tokens, kv, layers);
-    head.keys.reserve(keys.size());
-    head.values.reserve(values.size());
-
-    const std::int64_t tail = length - tokens;
-    std::vector<Tensor> tailKeys;
-    std::vector<Tensor> tailValues;
-    tailKeys.reserve(keys.size());
-    tailValues.reserve(values.size());
-    for (std::size_t l = 0; l < keys.size(); ++l) {
-        Tensor hk({batch, tokens, kv});
-        Tensor hv({batch, tokens, kv});
-        Tensor tk({batch, tail, kv});
-        Tensor tv({batch, tail, kv});
-        const std::int64_t src = length * kv;
-        copyBatchRows(hk.data(), tokens * kv, keys[l].data(), src, batch,
-                      tokens * kv);
-        copyBatchRows(hv.data(), tokens * kv, values[l].data(), src,
-                      batch, tokens * kv);
-        copyBatchRows(tk.data(), tail * kv, keys[l].data() + tokens * kv,
-                      src, batch, tail * kv);
-        copyBatchRows(tv.data(), tail * kv,
-                      values[l].data() + tokens * kv, src, batch,
-                      tail * kv);
-        head.keys.push_back(std::move(hk));
-        head.values.push_back(std::move(hv));
-        tailKeys.push_back(std::move(tk));
-        tailValues.push_back(std::move(tv));
-    }
-
-    keys = std::move(tailKeys);
-    values = std::move(tailValues);
-    length = tail;
-    bytes = spanBf16Bytes(batch, tail, kv, layers);
+    KvSpan head = tokenRange(*this, 0, tokens);
+    *this = tokenRange(*this, tokens, length);
     return head;
 }
 
-KvSnapshot
-KvSnapshot::headCopy(std::int64_t tokens) const
+KvSpan
+KvSpan::headCopy(std::int64_t tokens) const
 {
-    LIA_ASSERT(compact(), "headCopy needs a compact snapshot");
     LIA_ASSERT(tokens > 0 && tokens <= length,
                "headCopy tokens ", tokens, " out of (0, ", length, "]");
-    const std::int64_t batch = keys.front().dim(0);
-    const std::int64_t kv = keys.front().dim(2);
-    const std::int64_t layers =
-        static_cast<std::int64_t>(keys.size());
-
-    KvSnapshot head;
-    head.length = tokens;
-    head.bytes = spanBf16Bytes(batch, tokens, kv, layers);
-    head.keys.reserve(keys.size());
-    head.values.reserve(values.size());
-    for (std::size_t l = 0; l < keys.size(); ++l) {
-        Tensor hk({batch, tokens, kv});
-        Tensor hv({batch, tokens, kv});
-        copyBatchRows(hk.data(), tokens * kv, keys[l].data(), length * kv,
-                      batch, tokens * kv);
-        copyBatchRows(hv.data(), tokens * kv, values[l].data(),
-                      length * kv, batch, tokens * kv);
-        head.keys.push_back(std::move(hk));
-        head.values.push_back(std::move(hv));
-    }
-    return head;
+    return tokenRange(*this, 0, tokens);
 }
 
 KvCache::KvCache(const model::ModelConfig &config, std::int64_t batch,
@@ -278,7 +339,7 @@ KvCache::truncate(std::int64_t new_length)
     length_ = new_length;
 }
 
-KvSnapshot
+KvSpan
 KvCache::snapshotRange(std::int64_t start, std::int64_t end) const
 {
     LIA_ASSERT(nextLayer_ == 0 && pendingTokens_ == 0,
@@ -288,46 +349,42 @@ KvCache::snapshotRange(std::int64_t start, std::int64_t end) const
                length_);
     const std::int64_t kv = config_.kvDim();
     const std::int64_t t = end - start;
-    KvSnapshot span;
-    span.length = t;
-    span.bytes = spanBf16Bytes(batch_, t, kv, config_.numLayers);
-    span.keys.reserve(keys_.size());
-    span.values.reserve(values_.size());
-    for (std::size_t l = 0; l < keys_.size(); ++l) {
-        Tensor k({batch_, t, kv});
-        Tensor v({batch_, t, kv});
-        copyBatchRows(k.data(), t * kv, keys_[l].data() + start * kv,
-                      maxLen_ * kv, batch_, t * kv);
-        copyBatchRows(v.data(), t * kv, values_[l].data() + start * kv,
-                      maxLen_ * kv, batch_, t * kv);
-        span.keys.push_back(std::move(k));
-        span.values.push_back(std::move(v));
+    KvSpan span = shapedSpan(config_.numLayers, batch_, kv, t);
+    for (std::int64_t l = 0; l < config_.numLayers; ++l) {
+        const auto layer = static_cast<std::size_t>(l);
+        for (std::int64_t b = 0; b < batch_; ++b) {
+            const std::int64_t at = (b * maxLen_ + start) * kv;
+            narrowInto(span, rowOffset(span, l, 0, b),
+                       keys_[layer].data() + at, t * kv);
+            narrowInto(span, rowOffset(span, l, 1, b),
+                       values_[layer].data() + at, t * kv);
+        }
     }
     return span;
 }
 
 bool
-KvCache::preload(const KvSnapshot &span)
+KvCache::preload(const KvSpan &span)
 {
     if (nextLayer_ > 0 || pendingTokens_ > 0)
         return false;  // never splice into a half-appended step
-    if (span.empty() || !span.compact() ||
-        span.keys.size() != static_cast<std::size_t>(config_.numLayers))
+    if (span.empty() || span.layers != config_.numLayers ||
+        span.batch != batch_ || span.width != config_.kvDim())
         return false;
     if (length_ + span.length > maxLen_)
-        return false;
-    const Tensor &front = span.keys.front();
-    if (front.dim(0) != batch_ || front.dim(2) != config_.kvDim())
         return false;
 
     allocate();
     const std::int64_t kv = config_.kvDim();
-    const std::int64_t row = span.length * kv;
-    for (std::size_t l = 0; l < keys_.size(); ++l) {
-        copyBatchRows(keys_[l].data() + length_ * kv, maxLen_ * kv,
-                      span.keys[l].data(), row, batch_, row);
-        copyBatchRows(values_[l].data() + length_ * kv, maxLen_ * kv,
-                      span.values[l].data(), row, batch_, row);
+    for (std::int64_t l = 0; l < config_.numLayers; ++l) {
+        const auto layer = static_cast<std::size_t>(l);
+        for (std::int64_t b = 0; b < batch_; ++b) {
+            const std::int64_t at = (b * maxLen_ + length_) * kv;
+            widenFrom(keys_[layer].data() + at, span,
+                      rowOffset(span, l, 0, b), span.length * kv);
+            widenFrom(values_[layer].data() + at, span,
+                      rowOffset(span, l, 1, b), span.length * kv);
+        }
     }
     length_ += span.length;
     return true;
@@ -382,16 +439,44 @@ mixFloat(std::uint64_t hash, float value)
 std::uint64_t
 KvCache::fingerprint(std::int64_t tokens, base::ThreadPool *pool) const
 {
-    const std::int64_t len =
-        tokens < 0 ? length_ : std::min(tokens, length_);
+    const std::int64_t boundary = tokens < 0 ? length_ : tokens;
+    std::uint64_t digest;
+    digestPrefixes(&boundary, 1, &digest, pool);
+    return digest;
+}
+
+std::vector<std::uint64_t>
+KvCache::fingerprints(const std::vector<std::int64_t> &boundaries,
+                      base::ThreadPool *pool) const
+{
+    std::vector<std::uint64_t> digests(boundaries.size());
+    digestPrefixes(boundaries.data(), boundaries.size(), digests.data(),
+                   pool);
+    return digests;
+}
+
+void
+KvCache::digestPrefixes(const std::int64_t *boundaries,
+                        std::size_t count, std::uint64_t *out,
+                        base::ThreadPool *pool) const
+{
+    for (std::size_t i = 0; i < count; ++i)
+        LIA_ASSERT(boundaries[i] >= 0 &&
+                       (i == 0 || boundaries[i] >= boundaries[i - 1]),
+                   "fingerprint boundaries must be non-negative and "
+                   "non-decreasing");
+    if (count == 0)
+        return;
+    const std::int64_t len = std::min(boundaries[count - 1], length_);
     const std::int64_t kv = config_.kvDim();
     if (pool == nullptr)
         pool = &base::ThreadPool::shared();
 
-    // Per-token FNV-1a digests computed in parallel, then folded in
-    // position order: the combination is a pure function of the
-    // stored bits, so two caches holding bit-identical KV for the
-    // prefix fingerprint identically at any thread count.
+    // Per-token FNV-1a digests computed in parallel, then folded once
+    // in position order, reading the running hash at each boundary:
+    // every digest is a pure function of the stored bits, so two
+    // caches holding bit-identical KV for a prefix fingerprint
+    // identically at any thread count.
     std::vector<std::uint64_t> perToken(static_cast<std::size_t>(len));
     pool->parallelFor(
         len, 2, [&](std::int64_t t0, std::int64_t t1) {
@@ -418,14 +503,18 @@ KvCache::fingerprint(std::int64_t tokens, base::ThreadPool *pool) const
         });
 
     std::uint64_t hash = kFnvOffset;
-    for (std::int64_t i = 0; i < len; ++i) {
-        std::uint64_t digest = perToken[static_cast<std::size_t>(i)];
+    std::size_t next = 0;
+    for (std::int64_t i = 0;; ++i) {
+        while (next < count && std::min(boundaries[next], length_) == i)
+            out[next++] = hash;
+        if (i == len)
+            return;
+        const std::uint64_t digest = perToken[static_cast<std::size_t>(i)];
         for (int shift = 0; shift < 64; shift += 8) {
             hash ^= (digest >> shift) & 0xffu;
             hash *= kFnvPrime;
         }
     }
-    return hash;
 }
 
 double

@@ -11,7 +11,9 @@
  * KvSnapshot (the swap-to-CXL parking operation) or are simply
  * discarded (evict-and-recompute) — and later restored bit-identically
  * from the snapshot. The serving runtime backend drives these entry
- * points from scheduler preemption decisions.
+ * points from scheduler preemption decisions. Token ranges copy out
+ * as BF16-width KvSpans, the shared-prefix payload, and preload back
+ * bit-identically.
  */
 
 #ifndef LIA_RUNTIME_KV_CACHE_HH
@@ -32,9 +34,11 @@ namespace runtime {
 
 /**
  * Contents moved out of an evicted KvCache: the parked form a
- * swapped-out cache takes while it lives in the CXL pool. The bytes
- * field records the BF16 footprint at eviction time, so byte
- * accounting can assert freed == restored.
+ * swapped-out cache takes while it lives in the CXL pool. It adopts
+ * the cache's full-geometry FP32 buffers, so evict() and restore()
+ * move storage without copying it. The bytes field records the BF16
+ * footprint at eviction time, so byte accounting can assert
+ * freed == restored.
  */
 struct KvSnapshot
 {
@@ -44,27 +48,54 @@ struct KvSnapshot
     std::vector<Tensor> values;
 
     bool empty() const { return keys.empty(); }
+};
 
-    /** Whether every layer's K and V tensor holds exactly `length`
-     *  tokens (no slack) in one shared shape — the form
-     *  snapshotRange() produces and preload() consumes. */
-    bool compact() const;
+/**
+ * Compact copy of a token range of a KvCache, held at BF16 width: the
+ * prefix-cache node payload. Every FP32 value is split into its high
+ * 16 bits (its BF16 truncation) and its low 16 bits; the low plane is
+ * stored only when some value of the span has non-zero low bits, so
+ * any float, NaN payloads included, round-trips bit-exactly. The
+ * executor rounds K/V through BF16, so a served span holds the high
+ * plane alone: exactly the BF16 bytes the admission ledger charges.
+ *
+ * Both planes are laid out [layer][K, V][batch row][token][kvDim].
+ */
+struct KvSpan
+{
+    std::int64_t length = 0;  //!< tokens held
+    double bytes = 0;         //!< BF16 bytes of K and V (all layers)
+    std::int64_t layers = 0;
+    std::int64_t batch = 0;
+    std::int64_t width = 0;   //!< floats per token row (kvDim)
+    std::vector<std::uint16_t> high;  //!< high 16 bits of every value
+    std::vector<std::uint16_t> low;   //!< low 16 bits; empty if all 0
+
+    bool empty() const { return length == 0; }
+
+    /** Key / value of (layer, batch row, token, column), widened. */
+    float key(std::int64_t layer, std::int64_t row, std::int64_t token,
+              std::int64_t column) const;
+    float value(std::int64_t layer, std::int64_t row,
+                std::int64_t token, std::int64_t column) const;
+
+    /** Bytes the planes occupy: bytes, or twice it with a low plane. */
+    double heldBytes() const;
 
     /**
-     * Split a compact snapshot: the first @p tokens move out as the
-     * returned head, this snapshot keeps the tail. Both stay compact
-     * and their bytes fields re-count their BF16 footprints. The
-     * prefix cache uses this to split a node's KV span at a radix
-     * divergence point without copying the whole span twice.
+     * Split the span: the first @p tokens move out as the returned
+     * head, this span keeps the tail, and both re-count their bytes.
+     * The prefix cache uses this to split a node's KV span at a radix
+     * divergence point.
      */
-    KvSnapshot splitHead(std::int64_t tokens);
+    KvSpan splitHead(std::int64_t tokens);
 
     /**
-     * Copy of the first @p tokens of a compact snapshot, leaving this
-     * snapshot untouched. A prefix-cache hit that matches only part of
-     * a terminal node attaches a head copy of the node's span.
+     * Copy of the first @p tokens, leaving this span untouched. A
+     * prefix-cache hit that matches only part of a terminal node
+     * attaches a head copy of the node's span.
      */
-    KvSnapshot headCopy(std::int64_t tokens) const;
+    KvSpan headCopy(std::int64_t tokens) const;
 };
 
 /**
@@ -142,19 +173,20 @@ class KvCache
     KvSnapshot evict();
 
     /**
-     * Compact copy of tokens [@p start, @p end) across all layers:
-     * per-layer (B, end-start, kvDim) tensors. The source cache is
+     * Copy of tokens [@p start, @p end) across all layers, narrowed
+     * straight from the cache rows into a KvSpan. The source cache is
      * untouched. Shared prefix-cache nodes are built from these spans.
      */
-    KvSnapshot snapshotRange(std::int64_t start, std::int64_t end) const;
+    KvSpan snapshotRange(std::int64_t start, std::int64_t end) const;
 
     /**
-     * Append a compact span at the current end of the cache, as if its
-     * tokens had been produced by prefill — the shared-prefix attach
-     * path. Fails cleanly (returns false, cache untouched) when called
-     * mid-step or when the span's geometry does not fit.
+     * Append a span at the current end of the cache, widened straight
+     * into the cache rows, as if its tokens had been produced by
+     * prefill — the shared-prefix attach path. Fails cleanly (returns
+     * false, cache untouched) when called mid-step or when the span is
+     * empty or its geometry does not fit.
      */
-    bool preload(const KvSnapshot &span);
+    bool preload(const KvSpan &span);
 
     /**
      * Restore an evicted snapshot. Fails cleanly — returns false and
@@ -186,7 +218,23 @@ class KvCache
     std::uint64_t fingerprint(std::int64_t tokens = -1,
                               base::ThreadPool *pool = nullptr) const;
 
+    /**
+     * fingerprint(b) for every b of @p boundaries (non-decreasing,
+     * each clamped to length()) from one pass: each token up to the
+     * last boundary is digested once and the fold reads its running
+     * hash at every boundary. A prefix-cache insert takes the digests
+     * of all its block boundaries from one call.
+     */
+    std::vector<std::uint64_t>
+    fingerprints(const std::vector<std::int64_t> &boundaries,
+                 base::ThreadPool *pool = nullptr) const;
+
   private:
+    /** fingerprints() over @p count boundaries into @p out. */
+    void digestPrefixes(const std::int64_t *boundaries,
+                        std::size_t count, std::uint64_t *out,
+                        base::ThreadPool *pool) const;
+
     /** Allocate zeroed storage on first write (none until then). */
     void allocate();
 

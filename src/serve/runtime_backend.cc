@@ -162,11 +162,11 @@ RuntimeBackend::applyPrefixOps(const IterationPlan &plan)
             payload.tokens = op.tokens;
             payload.span = pass.snapshotRange(
                 op.startToken, op.startToken + op.tokens);
-            payload.blockDigests.reserve(
-                static_cast<std::size_t>(op.tokens / block));
+            std::vector<std::int64_t> boundaries;
             for (std::int64_t k = 1; k <= op.tokens / block; ++k)
-                payload.blockDigests.push_back(pass.fingerprint(
-                    op.startToken + k * block, kernelPool_.get()));
+                boundaries.push_back(op.startToken + k * block);
+            payload.blockDigests =
+                pass.fingerprints(boundaries, kernelPool_.get());
             cacheDdrBytes_ += payload.span.bytes;
             nodes_.emplace(op.node, std::move(payload));
             ++counters_.prefixInserts;

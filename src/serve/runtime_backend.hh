@@ -190,15 +190,18 @@ class RuntimeBackend : public ExecutionBackend
 
     /**
      * Mirrored payload of one radix-tree node: the actual KV span the
-     * engine-side PrefixCache only accounts bytes for, plus the
-     * cumulative prompt digests at each block boundary (blockDigests[k]
-     * fingerprints prompt tokens [0, startToken + (k+1)*blockTokens)),
-     * so any block-aligned hit depth verifies in O(1).
+     * engine-side PrefixCache only accounts bytes for, held at BF16
+     * width (runtime::KvSpan, exactly span.bytes since served K/V is
+     * BF16-rounded), plus the cumulative prompt digests at each block
+     * boundary (blockDigests[k] fingerprints prompt tokens
+     * [0, startToken + (k+1)*blockTokens)), taken from one
+     * KvCache::fingerprints pass at insert, so any block-aligned hit
+     * depth verifies against a stored value.
      */
     struct NodePayload
     {
         std::int64_t tokens = 0;
-        runtime::KvSnapshot span;
+        runtime::KvSpan span;
         std::vector<std::uint64_t> blockDigests;
         bool demoted = false;
     };

@@ -166,7 +166,7 @@ TEST(DecodeBatchProperty, MatchesSequentialDecodeOneBitForBit)
                 KvCache donor(m, 1, m.maxSeqLen);
                 exec.prefillChunk(donor, {prompt.begin(),
                                           prompt.begin() + attached});
-                const KvSnapshot span = donor.snapshotRange(0, attached);
+                const KvSpan span = donor.snapshotRange(0, attached);
                 ASSERT_TRUE(seq.back()->preload(span));
                 ASSERT_TRUE(bat.back()->preload(span));
             }

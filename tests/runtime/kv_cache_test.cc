@@ -7,9 +7,12 @@
 
 #include <cstring>
 #include <stdexcept>
+#include <vector>
 
 #include "base/logging.hh"
 #include "base/rng.hh"
+#include "base/thread_pool.hh"
+#include "runtime/bf16.hh"
 #include "runtime/kv_cache.hh"
 
 namespace {
@@ -344,11 +347,10 @@ TEST_F(KvCacheTest, SnapshotRangeIsCompactAndPreloads)
     for (std::int64_t i = 0; i < 6; ++i)
         appendAllLayers(1, static_cast<float>(i));
 
-    const KvSnapshot span = cache.snapshotRange(2, 5);
-    EXPECT_TRUE(span.compact());
+    const KvSpan span = cache.snapshotRange(2, 5);
     EXPECT_EQ(span.length, 3);
-    EXPECT_EQ(span.keys[0].at(0, 0, 0), 2.0f);
-    EXPECT_EQ(span.keys[0].at(0, 2, 0), 4.0f);
+    EXPECT_EQ(span.key(0, 0, 0, 0), 2.0f);
+    EXPECT_EQ(span.key(0, 0, 2, 0), 4.0f);
 
     // Preload appends the span at the target's current end; contents
     // land bit-identically.
@@ -367,13 +369,13 @@ TEST_F(KvCacheTest, SnapshotRangeIsCompactAndPreloads)
 TEST_F(KvCacheTest, PreloadRejectsMisfits)
 {
     appendAllLayers(4, 1.0f);
-    const KvSnapshot span = cache.snapshotRange(0, 4);
+    const KvSpan span = cache.snapshotRange(0, 4);
 
     KvCache tiny(m, 2, 3);  // too short for the span
     EXPECT_FALSE(tiny.preload(span));
     KvCache wrongBatch(m, 1, 32);
     EXPECT_FALSE(wrongBatch.preload(span));
-    KvSnapshot empty;
+    KvSpan empty;
     EXPECT_FALSE(cache.preload(empty));
 }
 
@@ -444,14 +446,14 @@ TEST_F(KvCacheTest, TruncateComposesWithSnapshotRangePins)
 {
     // A prefix-cache pin (snapshotRange copy) taken before a
     // speculative rollback must be unaffected by it: the span is a
-    // compact copy, not a view.
+    // copy, not a view.
     for (std::int64_t i = 0; i < 6; ++i)
         appendAllLayers(1, static_cast<float>(i));
-    const KvSnapshot pinned = cache.snapshotRange(0, 4);
+    const KvSpan pinned = cache.snapshotRange(0, 4);
 
     cache.truncate(2);
     EXPECT_EQ(pinned.length, 4);
-    EXPECT_EQ(pinned.keys[0].at(0, 3, 0), 3.0f);
+    EXPECT_EQ(pinned.key(0, 0, 3, 0), 3.0f);
 
     // And the pin still preloads into a fresh cache bit-identically.
     KvCache target(m, 2, 32);
@@ -481,24 +483,245 @@ TEST_F(KvCacheTest, SplitHeadAndHeadCopyPartitionBytes)
 {
     for (std::int64_t i = 0; i < 5; ++i)
         appendAllLayers(1, static_cast<float>(i));
-    KvSnapshot span = cache.snapshotRange(0, 5);
+    KvSpan span = cache.snapshotRange(0, 5);
     const double whole = span.bytes;
 
-    const KvSnapshot copy = span.headCopy(2);
+    const KvSpan copy = span.headCopy(2);
     EXPECT_EQ(copy.length, 2);
-    EXPECT_EQ(copy.keys[0].at(0, 1, 0), 1.0f);
+    EXPECT_EQ(copy.key(0, 0, 1, 0), 1.0f);
     EXPECT_EQ(span.length, 5);  // headCopy never mutates
 
-    KvSnapshot head = span.splitHead(2);
+    KvSpan head = span.splitHead(2);
     EXPECT_EQ(head.length, 2);
     EXPECT_EQ(span.length, 3);
-    EXPECT_TRUE(head.compact());
-    EXPECT_TRUE(span.compact());
     EXPECT_DOUBLE_EQ(head.bytes + span.bytes, whole);
     // The tail now starts at the original token 2.
-    EXPECT_EQ(span.keys[0].at(0, 0, 0), 2.0f);
+    EXPECT_EQ(span.key(0, 0, 0, 0), 2.0f);
     // The head is bit-identical to the non-mutating copy.
-    EXPECT_EQ(head.keys[2].at(1, 1, 5), copy.keys[2].at(1, 1, 5));
+    EXPECT_EQ(head.key(2, 1, 1, 5), copy.key(2, 1, 1, 5));
+}
+
+// --- One-pass block digests ------------------------------------------
+
+/** Boundaries at 0, every 16 tokens, @p length and past it. */
+std::vector<std::int64_t>
+blockBoundaries(std::int64_t length)
+{
+    std::vector<std::int64_t> boundaries;
+    for (std::int64_t b = 0; b <= length; b += 16)
+        boundaries.push_back(b);
+    boundaries.push_back(length);
+    boundaries.push_back(length + 16);
+    return boundaries;
+}
+
+TEST(KvCacheFingerprintsTest, EveryBoundaryMatchesTheSingleFingerprint)
+{
+    // A narrow model (2 layers, kvDim 8) keeps the quadratic
+    // single-boundary reference cheap at every length up to 300.
+    const model::ModelConfig small = model::tinyOpt(8, 2, 2);
+    Rng rng(5);
+    for (std::int64_t batch : {1, 2}) {
+        KvCache grown(small, batch, 300);
+        for (std::int64_t len = 0; len <= 300; ++len) {
+            if (len > 0) {
+                for (std::int64_t l = 0; l < small.numLayers; ++l)
+                    grown.append(
+                        l,
+                        Tensor::randomNormal({batch, 1, small.kvDim()},
+                                             rng, 1.0),
+                        Tensor::randomNormal({batch, 1, small.kvDim()},
+                                             rng, 1.0));
+            }
+            const std::vector<std::int64_t> boundaries =
+                blockBoundaries(len);
+            const std::vector<std::uint64_t> digests =
+                grown.fingerprints(boundaries);
+            ASSERT_EQ(digests.size(), boundaries.size());
+            for (std::size_t i = 0; i < boundaries.size(); ++i)
+                ASSERT_EQ(digests[i], grown.fingerprint(boundaries[i]))
+                    << "batch " << batch << ", length " << len
+                    << ", boundary " << boundaries[i];
+        }
+    }
+}
+
+TEST_F(KvCacheTest, FingerprintsAreThreadCountInvariant)
+{
+    KvCache big(m, 2, 300);
+    appendRandom(big, 300);
+    const std::vector<std::int64_t> boundaries = blockBoundaries(300);
+    base::ThreadPool one(1);
+    const std::vector<std::uint64_t> want =
+        big.fingerprints(boundaries, &one);
+    for (int threads : {2, 4}) {
+        base::ThreadPool pool(threads);
+        EXPECT_EQ(big.fingerprints(boundaries, &pool), want)
+            << threads << " threads";
+        EXPECT_EQ(big.fingerprint(-1, &pool), want[want.size() - 2])
+            << threads << " threads";
+    }
+}
+
+TEST_F(KvCacheTest, FingerprintValueIsPinned)
+{
+    // The digest of this fill, as computed before fingerprints()
+    // existed: the prefix checks compare against the same values.
+    appendRandom(cache, 20);
+    const std::uint64_t pinned = 0x2428c39e38dcf521ull;
+    EXPECT_EQ(cache.fingerprint(16), pinned);
+    EXPECT_EQ(cache.fingerprints({0, 16, 20, 40}).at(1), pinned);
+}
+
+// --- KvSpan: BF16-resident prefix spans ------------------------------
+
+/** Bit patterns of tokens [start, start + tokens) of every layer's K
+ *  and V in every row of @p cache, read through its views. */
+std::vector<std::uint32_t>
+rangeBits(const KvCache &cache, std::int64_t layers, std::int64_t start,
+          std::int64_t tokens)
+{
+    std::vector<std::uint32_t> bits;
+    for (std::int64_t l = 0; l < layers; ++l) {
+        for (std::int64_t b = 0; b < cache.batch(); ++b) {
+            const KvLayerView view = cache.view(l, b);
+            EXPECT_LE(start + tokens, view.length);
+            for (const float *side : {view.k, view.v}) {
+                const float *row = side + start * view.rowStride;
+                const std::size_t count =
+                    static_cast<std::size_t>(tokens * view.rowStride);
+                const std::size_t at = bits.size();
+                bits.resize(at + count);
+                std::memcpy(bits.data() + at, row,
+                            sizeof(float) * count);
+            }
+        }
+    }
+    return bits;
+}
+
+float
+fromBits(std::uint32_t bits)
+{
+    float value;
+    std::memcpy(&value, &bits, sizeof(value));
+    return value;
+}
+
+class KvSpanTest : public KvCacheTest
+{
+  protected:
+    /** Append @p tokens random tokens on every layer; each value is
+     *  BF16-exact when @p bf16, otherwise arbitrary FP32 with NaN
+     *  payloads, infinities, signed zeros and denormals mixed in. */
+    void
+    appendValues(std::int64_t tokens, bool bf16)
+    {
+        static const std::uint32_t specials[] = {
+            0x7fc00001u, 0xffa12345u, 0x7f800001u,  // NaN payloads
+            0x7f800000u, 0xff800000u,               // +-inf
+            0x80000000u, 0x00000000u,               // -0.0, +0.0
+            0x00000001u, 0x807fffffu, 0x00012345u,  // denormals
+        };
+        for (std::int64_t l = 0; l < m.numLayers; ++l) {
+            Tensor k = Tensor::randomNormal({2, tokens, m.kvDim()}, rng,
+                                            1.0);
+            Tensor v = Tensor::randomNormal({2, tokens, m.kvDim()}, rng,
+                                            1.0);
+            for (Tensor *t : {&k, &v}) {
+                for (std::int64_t i = 0; i < t->numel(); ++i) {
+                    if (i % 7 == 3)
+                        t->data()[i] = fromBits(specials[i / 7 % 10]);
+                    if (bf16) {
+                        std::uint32_t bits;
+                        std::memcpy(&bits, t->data() + i, sizeof(bits));
+                        t->data()[i] = fromBits(bits & 0xffff0000u);
+                    }
+                }
+            }
+            cache.append(l, k, v);
+        }
+    }
+
+    /** fp32 bytes of a span of @p tokens tokens of this cache. */
+    double
+    fp32Bytes(std::int64_t tokens) const
+    {
+        return 4.0 * 2 * 2 * static_cast<double>(tokens * m.kvDim()) *
+               static_cast<double>(m.numLayers);
+    }
+
+    /** Preload @p spans in order into a fresh cache; its tokens must
+     *  match tokens [start, ...) of the source cache bit for bit. */
+    void
+    expectPreloadsBitExact(const std::vector<const KvSpan *> &spans,
+                           std::int64_t start)
+    {
+        KvCache target(m, 2, 32);
+        for (const KvSpan *span : spans)
+            ASSERT_TRUE(target.preload(*span));
+        EXPECT_EQ(rangeBits(target, m.numLayers, 0, target.length()),
+                  rangeBits(cache, m.numLayers, start, target.length()));
+    }
+};
+
+TEST_F(KvSpanTest, Bf16ExactSpansRoundTripAtHalfTheFp32Bytes)
+{
+    appendValues(9, true);
+    const KvSpan span = cache.snapshotRange(2, 8);
+    EXPECT_TRUE(span.low.empty());
+    EXPECT_DOUBLE_EQ(span.heldBytes(), span.bytes);
+    EXPECT_DOUBLE_EQ(span.heldBytes(), fp32Bytes(6) / 2);
+    expectPreloadsBitExact({&span}, 2);
+
+    KvSpan tail = span;
+    const KvSpan copy = tail.headCopy(4);
+    const KvSpan head = tail.splitHead(4);
+    EXPECT_TRUE(head.low.empty());
+    EXPECT_TRUE(tail.low.empty());
+    expectPreloadsBitExact({&copy}, 2);
+    expectPreloadsBitExact({&head, &tail}, 2);
+}
+
+TEST_F(KvSpanTest, ArbitraryFp32SpansRoundTripBitExactly)
+{
+    appendValues(9, false);
+    const KvSpan span = cache.snapshotRange(1, 9);
+    EXPECT_FALSE(span.low.empty());
+    EXPECT_DOUBLE_EQ(span.heldBytes(), fp32Bytes(8));
+    // The ledger still counts BF16 bytes, whatever the span holds.
+    EXPECT_DOUBLE_EQ(span.bytes, fp32Bytes(8) / 2);
+    expectPreloadsBitExact({&span}, 1);
+
+    // Element reads widen both planes: a NaN payload survives.
+    const KvLayerView source = cache.view(0, 0);
+    for (std::int64_t c = 0; c < m.kvDim(); ++c) {
+        const float want = source.k[1 * source.rowStride + c];
+        const float got = span.key(0, 0, 0, c);
+        EXPECT_EQ(std::memcmp(&want, &got, sizeof(want)), 0) << c;
+    }
+
+    KvSpan tail = span;
+    const KvSpan copy = tail.headCopy(3);
+    const KvSpan head = tail.splitHead(3);
+    expectPreloadsBitExact({&copy}, 1);
+    expectPreloadsBitExact({&head, &tail}, 1);
+}
+
+TEST_F(KvSpanTest, LowPlaneFollowsTheTokensThatNeedIt)
+{
+    // BF16-exact tokens 0..3, then arbitrary tokens 4..6: a split at
+    // the seam leaves the head without a low plane.
+    appendValues(4, true);
+    appendValues(3, false);
+    KvSpan span = cache.snapshotRange(0, 7);
+    EXPECT_FALSE(span.low.empty());
+    const KvSpan head = span.splitHead(4);
+    EXPECT_TRUE(head.low.empty());
+    EXPECT_FALSE(span.low.empty());
+    EXPECT_DOUBLE_EQ(head.heldBytes(), fp32Bytes(4) / 2);
+    EXPECT_FALSE(span.headCopy(2).low.empty());
+    expectPreloadsBitExact({&head, &span}, 0);
 }
 
 } // namespace
