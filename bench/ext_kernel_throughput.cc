@@ -444,16 +444,16 @@ main()
                 k[b][e] = static_cast<float>(rng.normal(0.0, 1.0));
                 v[b][e] = static_cast<float>(rng.normal(0.0, 1.0));
             }
-            views.push_back({k[b].data(), v[b].data(), s.length, kWidth});
+            views.push_back(
+                {k[b].data(), v[b].data(), s.length, kWidth, s.tokens});
         }
-        const Tensor ref = scalarAttention(q, views, s.tokens, kHeads,
-                                           kHeads, kHeadDim,
-                                           attentionOpts);
+        const Tensor ref = scalarAttention(q, views, kHeads, kHeads,
+                                           kHeadDim, attentionOpts);
         double sse2_us = 0;
         for (const KernelTier *tier : tiers) {
             const auto run = [&] {
-                return tier->attention(q, views, s.tokens, kHeads, kHeads,
-                                       kHeadDim, attentionOpts);
+                return tier->attention(q, views, kHeads, kHeads, kHeadDim,
+                                       attentionOpts);
             };
             LIA_ASSERT(bitIdentical(run(), ref), "attention on the ",
                        tier->name, " tier diverged from scalarAttention at ",

@@ -65,10 +65,10 @@ BM_AttentionScores(benchmark::State &state)
     const Tensor q = Tensor::randomNormal({tokens, d}, rng, 1.0);
     const Tensor k = Tensor::randomNormal({len, d}, rng, 1.0);
     const Tensor v = Tensor::randomNormal({len, d}, rng, 1.0);
-    const std::vector<KvLayerView> view{{k.data(), v.data(), len, d}};
+    const std::vector<KvLayerView> view{
+        {k.data(), v.data(), len, d, tokens}};
     for (auto _ : state) {
-        Tensor o = attention(q, view, tokens, 1, 1, d,
-                             KernelOptions{false});
+        Tensor o = attention(q, view, 1, 1, d, KernelOptions{false});
         benchmark::DoNotOptimize(o.data());
     }
     state.SetItemsProcessed(state.iterations() * 4 * tokens * d * len);

@@ -37,12 +37,18 @@ DraftModel::propose(KvCache &cache,
     // an accepted verify this is one token (the correction/bonus); on
     // a fresh or rebuilt cache it is the whole stream. The chunk's
     // final sample is the first draft.
+    ForwardFeed feed{&cache,
+                     {stream.begin() + cache.length(), stream.end()},
+                     model::Stage::Prefill};
     std::vector<std::int64_t> drafts;
     drafts.reserve(static_cast<std::size_t>(k));
-    drafts.push_back(executor_.prefillChunk(
-        cache, {stream.begin() + cache.length(), stream.end()}));
-    while (static_cast<std::int64_t>(drafts.size()) < k)
-        drafts.push_back(executor_.decodeOne(cache, drafts.back()));
+    for (;;) {
+        drafts.push_back(executor_.forward({&feed, 1}).front());
+        if (static_cast<std::int64_t>(drafts.size()) == k)
+            break;
+        feed.tokens = {drafts.back()};
+        feed.stage = model::Stage::Decode;
+    }
     LIA_ASSERT(cache.length() == n + k - 1,
                "draft cache length drifted");
     return drafts;

@@ -14,14 +14,24 @@ using core::Policy;
 using model::Stage;
 using model::Sublayer;
 
+namespace {
+
+/** Tokens each batch row of @p feed feeds: its T. */
+std::int64_t
+rowTokens(const ForwardFeed &feed)
+{
+    return static_cast<std::int64_t>(feed.tokens.size()) /
+           feed.cache->batch();
+}
+
+} // namespace
+
 CooperativeExecutor::CooperativeExecutor(const hw::SystemConfig &system,
                                          TransformerWeights weights,
                                          ExecutorConfig config)
     : system_(system), weights_(std::move(weights)),
-      config_(std::move(config)),
-      kernelOpts_{config_.bf16Rounding},
-      cpu_(system.cpu), gpu_(system.gpu), ledger_(system.hostLink),
-      sampler_(config_.sampling)
+      config_(std::move(config)), cpu_(system.cpu), gpu_(system.gpu),
+      ledger_(system.hostLink), sampler_(config_.sampling)
 {
     weights_.config.validate();
     LIA_ASSERT(config_.residentLayers >= 0 &&
@@ -29,9 +39,8 @@ CooperativeExecutor::CooperativeExecutor(const hw::SystemConfig &system,
                "bad resident layer count");
 
     // Construction-time pool injection: every kernel this executor
-    // runs — batch prefill/decode and the serving backend's per-
-    // iteration decodeBatch pass alike — shares one set of persistent
-    // workers.
+    // runs — generate()'s passes and the serving backend's one pass
+    // per iteration alike — shares one set of persistent workers.
     kernelOpts_.pool = config_.pool != nullptr
                            ? config_.pool.get()
                            : &base::ThreadPool::shared();
@@ -81,13 +90,6 @@ CooperativeExecutor::~CooperativeExecutor()
     }
 }
 
-const KvCache &
-CooperativeExecutor::cache() const
-{
-    LIA_ASSERT(cache_ != nullptr, "no active generation");
-    return *cache_;
-}
-
 double
 CooperativeExecutor::modeledSerialLatency() const
 {
@@ -103,50 +105,49 @@ CooperativeExecutor::resetStats()
 }
 
 Tensor
-CooperativeExecutor::embed(const std::vector<std::int64_t> &flat_tokens,
-                           std::span<KvCache *const> caches,
-                           std::int64_t tokens)
+CooperativeExecutor::embed(std::span<const ForwardFeed> feeds,
+                           std::int64_t rows)
 {
     const auto &cfg = weights_.config;
     const std::int64_t d = cfg.dModel;
-    std::vector<std::int64_t> positions;  // first position of each row
-    for (const KvCache *cache : caches)
-        positions.insert(positions.end(),
-                         static_cast<std::size_t>(cache->batch()),
-                         cache->length());
-    const auto rows = static_cast<std::int64_t>(positions.size());
-    LIA_ASSERT(static_cast<std::int64_t>(flat_tokens.size()) ==
-                   rows * tokens,
-               "embed: ", flat_tokens.size(), " tokens for ", rows,
-               " rows of ", tokens);
-    Tensor hidden({rows * tokens, d});
+    // Token and position of every hidden row: row b of a feed of T
+    // tokens per row sits at positions cache.length() + [0, T).
+    std::vector<std::int64_t> tokens, positions;
+    tokens.reserve(static_cast<std::size_t>(rows));
+    positions.reserve(static_cast<std::size_t>(rows));
+    for (const ForwardFeed &feed : feeds) {
+        const std::int64_t start = feed.cache->length();
+        const std::int64_t per_row = rowTokens(feed);
+        LIA_ASSERT(start + per_row <= cfg.maxSeqLen, "position overflow");
+        for (std::size_t i = 0; i < feed.tokens.size(); ++i) {
+            const std::int64_t tok = feed.tokens[i];
+            LIA_ASSERT(tok >= 0 && tok < cfg.vocabSize,
+                       "token id out of range: ", tok);
+            tokens.push_back(tok);
+            positions.push_back(start +
+                                static_cast<std::int64_t>(i) % per_row);
+        }
+    }
+    Tensor hidden({rows, d});
     const float *emb = weights_.embedding.data();
     const float *pos_emb = weights_.posEmbedding.data();
     float *out = hidden.data();
-    // Row-partitioned gather: each (b, t) row is written by exactly
-    // one chunk, so the result is thread-count invariant. A row is d
+    // Row-partitioned gather: each row is written by exactly one
+    // chunk, so the result is thread-count invariant. A row is d
     // adds, so decode-sized gathers (n <= grain) run inline.
     const std::int64_t grain = std::max<std::int64_t>(1, 16384 / d);
     kernelOpts_.pool->parallelFor(
-        rows * tokens, grain, [&](std::int64_t r0, std::int64_t r1) {
+        rows, grain, [&](std::int64_t r0, std::int64_t r1) {
             for (std::int64_t r = r0; r < r1; ++r) {
-                const std::int64_t tok =
-                    flat_tokens[static_cast<std::size_t>(r)];
-                LIA_ASSERT(tok >= 0 && tok < cfg.vocabSize,
-                           "token id out of range: ", tok);
-                const std::int64_t pos =
-                    positions[static_cast<std::size_t>(r / tokens)] +
-                    r % tokens;
-                LIA_ASSERT(pos < cfg.maxSeqLen, "position overflow");
-                const float *erow = emb + tok * d;
-                const float *prow = pos_emb + pos * d;
+                const auto i = static_cast<std::size_t>(r);
+                const float *erow = emb + tokens[i] * d;
+                const float *prow = pos_emb + positions[i] * d;
                 float *orow = out + r * d;
                 for (std::int64_t c = 0; c < d; ++c)
                     orow[c] = erow[c] + prow[c];
             }
         });
-    if (kernelOpts_.bf16Rounding)
-        hidden.roundBf16();
+    hidden.roundBf16();
     return hidden;
 }
 
@@ -202,27 +203,23 @@ CooperativeExecutor::chargeSublayer(int index, Stage stage,
 }
 
 Tensor
-CooperativeExecutor::forwardLayers(std::span<KvCache *const> caches,
-                                   Tensor hidden, Stage stage,
-                                   std::int64_t tokens)
+CooperativeExecutor::forwardLayers(std::span<const ForwardFeed> feeds,
+                                   Tensor hidden)
 {
     const auto &cfg = weights_.config;
-    const Policy &policy = stage == Stage::Prefill
-                               ? config_.prefillPolicy
-                               : config_.decodePolicy;
-    // Context each cache's attention sublayers operate on, including
-    // the tokens this step appends (decode — and a chunked prefill
-    // extending existing history — read the grown cache).
-    std::vector<std::int64_t> contexts;
-    std::int64_t rows = 0;
-    for (const KvCache *cache : caches) {
-        contexts.push_back(cache->length() + tokens);
-        rows += cache->batch();
+    // Each feed's tokens per row, and the context its attention
+    // sublayers operate on, including the tokens this pass appends
+    // (decode — and a chunked prefill extending existing history —
+    // read the grown cache).
+    std::vector<std::int64_t> tokens, contexts;
+    std::size_t rows = 0;
+    for (const ForwardFeed &feed : feeds) {
+        tokens.push_back(rowTokens(feed));
+        contexts.push_back(feed.cache->length() + tokens.back());
+        rows += static_cast<std::size_t>(feed.cache->batch());
     }
-    LIA_ASSERT(hidden.dim(0) == rows * tokens,
-               "hidden rows ", hidden.dim(0), " != ", rows, " x ", tokens);
-    const std::int64_t kv_step = tokens * cfg.kvDim();
-    std::vector<KvLayerView> views(static_cast<std::size_t>(rows));
+    const std::int64_t kv_dim = cfg.kvDim();
+    std::vector<KvLayerView> views(rows);
 
     // Per-tensor dispatch over the placement pack() decided: the int8
     // tile kernel where an int8 pack exists, the fp32 packed kernel
@@ -245,18 +242,24 @@ CooperativeExecutor::forwardLayers(std::span<KvCache *const> caches,
         Tensor k = project(normed, w.packedWk, w.int8Wk, w.bk);
         Tensor v = project(normed, w.packedWv, w.int8Wv, w.bv);
         // Each cache takes its rows of K and V straight out of the
-        // projection outputs, and shows attention one view per row.
-        std::int64_t row = 0;
-        for (KvCache *cache : caches) {
-            cache->append(l, k.data() + row * kv_step,
-                          v.data() + row * kv_step, tokens);
-            for (std::int64_t b = 0; b < cache->batch(); ++b, ++row)
-                views[static_cast<std::size_t>(row)] = cache->view(l, b);
+        // projection outputs, and shows attention one view per row
+        // carrying that row's query count.
+        std::int64_t at = 0;
+        std::size_t row = 0;
+        for (std::size_t f = 0; f < feeds.size(); ++f) {
+            KvCache &cache = *feeds[f].cache;
+            cache.append(l, k.data() + at * kv_dim, v.data() + at * kv_dim,
+                         tokens[f]);
+            for (std::int64_t b = 0; b < cache.batch(); ++b, ++row) {
+                views[row] = cache.view(l, b);
+                views[row].queries = tokens[f];
+            }
+            at += cache.batch() * tokens[f];
         }
 
         // Sublayers 2+3: attention reading the caches in place.
-        Tensor attn = attention(q, views, tokens, cfg.numHeads,
-                                cfg.kvHeads, cfg.headDim, kernelOpts_);
+        Tensor attn = attention(q, views, cfg.numHeads, cfg.kvHeads,
+                                cfg.headDim, kernelOpts_);
 
         // Sublayer 4: output projection + residual.
         Tensor proj = project(attn, w.packedWo, w.int8Wo, w.bo);
@@ -278,34 +281,41 @@ CooperativeExecutor::forwardLayers(std::span<KvCache *const> caches,
         hidden = add(hidden, h2, kernelOpts_);
     }
 
-    // Charge cache by cache, layer by layer, sublayer by sublayer: the
-    // order sequential per-cache passes record in, so the ledger's and
-    // devices' floating-point sums come out the same.
-    for (std::size_t c = 0; c < caches.size(); ++c) {
+    // Charge feed by feed, layer by layer, sublayer by sublayer, each
+    // at its own stage and context: the order separate per-feed passes
+    // record in, so the ledger's and devices' floating-point sums come
+    // out the same.
+    for (std::size_t f = 0; f < feeds.size(); ++f) {
+        const Stage stage = feeds[f].stage;
+        const Policy &policy = stage == Stage::Prefill
+                                   ? config_.prefillPolicy
+                                   : config_.decodePolicy;
         for (std::int64_t l = 0; l < cfg.numLayers; ++l) {
             const bool resident = l < config_.residentLayers;
             for (int i = 0; i < model::kNumSublayers; ++i)
-                chargeSublayer(i, stage, caches[c]->batch(), contexts[c],
-                               resident, policy);
+                chargeSublayer(i, stage, feeds[f].cache->batch(),
+                               contexts[f], resident, policy);
         }
     }
     return hidden;
 }
 
 std::vector<std::int64_t>
-CooperativeExecutor::sample(const Tensor &hidden, std::int64_t batch,
-                            std::int64_t tokens)
+CooperativeExecutor::sample(const Tensor &hidden,
+                            const std::vector<std::int64_t> &picked)
 {
-    const auto &cfg = weights_.config;
-    // Only the final position of each sequence feeds the LM head.
-    const std::int64_t d = cfg.dModel;
-    Tensor last({batch, d});
-    for (std::int64_t b = 0; b < batch; ++b)
-        std::memcpy(last.data() + b * d,
-                    hidden.data() + (b * tokens + tokens - 1) * d,
+    // Only the picked positions feed the LM head. layerNorm, the
+    // packed projection and row sampling are row-independent and
+    // row-count invariant (DESIGN.md §7), so a row's token does not
+    // depend on which other rows are sampled with it.
+    const std::int64_t d = weights_.config.dModel;
+    Tensor rows({static_cast<std::int64_t>(picked.size()), d});
+    for (std::size_t i = 0; i < picked.size(); ++i)
+        std::memcpy(rows.data() + static_cast<std::int64_t>(i) * d,
+                    hidden.data() + picked[i] * d,
                     sizeof(float) * static_cast<std::size_t>(d));
     Tensor normed =
-        layerNorm(last, weights_.lnFinalGain, weights_.lnFinalBias,
+        layerNorm(rows, weights_.lnFinalGain, weights_.lnFinalBias,
                   kernelOpts_);
     // Tied LM head: the packed transpose of the embedding. The vocab
     // axis is the column-tile partition, so decode's m = 1 projection
@@ -316,109 +326,42 @@ CooperativeExecutor::sample(const Tensor &hidden, std::int64_t batch,
 }
 
 std::vector<std::int64_t>
-CooperativeExecutor::prefill(
-    const std::vector<std::vector<std::int64_t>> &prompts)
+CooperativeExecutor::forward(std::span<const ForwardFeed> feeds)
 {
-    LIA_ASSERT(!prompts.empty(), "empty batch");
-    const auto batch = static_cast<std::int64_t>(prompts.size());
-    const auto tokens = static_cast<std::int64_t>(prompts[0].size());
-    LIA_ASSERT(tokens > 0, "empty prompt");
-    for (const auto &p : prompts)
-        LIA_ASSERT(static_cast<std::int64_t>(p.size()) == tokens,
-                   "prompts must share one length");
-
-    // (Re)create the cache; it is host-resident (§5's assumption).
-    if (cacheAllocation_ > 0)
-        cpu_.release(cacheAllocation_);
-    cache_ = std::make_unique<KvCache>(weights_.config, batch,
-                                       weights_.config.maxSeqLen);
-    cacheAllocation_ =
-        units::bytesPerElement * 2.0 * static_cast<double>(batch) *
-        static_cast<double>(weights_.config.maxSeqLen) *
-        static_cast<double>(weights_.config.kvDim()) *
-        static_cast<double>(weights_.config.numLayers);
-    const bool ok = cpu_.tryAllocate(cacheAllocation_);
-    LIA_ASSERT(ok, "KV cache does not fit host memory");
-
-    std::vector<std::int64_t> flat;
-    flat.reserve(static_cast<std::size_t>(batch * tokens));
-    for (const auto &p : prompts)
-        flat.insert(flat.end(), p.begin(), p.end());
-
-    KvCache *const caches[] = {cache_.get()};
-    Tensor hidden = embed(flat, caches, tokens);
-    hidden = forwardLayers(caches, std::move(hidden), Stage::Prefill,
-                           tokens);
-    return sample(hidden, batch, tokens);
-}
-
-std::vector<std::int64_t>
-CooperativeExecutor::decodeStep(const std::vector<std::int64_t> &tokens)
-{
-    LIA_ASSERT(cache_ != nullptr, "prefill must run first");
-    LIA_ASSERT(static_cast<std::int64_t>(tokens.size()) == cache_->batch(),
-               "batch mismatch");
-    KvCache *const caches[] = {cache_.get()};
-    return decodeBatch(caches, tokens);
-}
-
-std::int64_t
-CooperativeExecutor::prefillChunk(
-    KvCache &cache, const std::vector<std::int64_t> &tokens)
-{
-    LIA_ASSERT(cache.batch() == 1,
-               "per-sequence prefill wants a batch-1 cache");
-    LIA_ASSERT(!tokens.empty(), "empty prefill chunk");
-    const auto count = static_cast<std::int64_t>(tokens.size());
-    KvCache *const caches[] = {&cache};
-    Tensor hidden = embed(tokens, caches, count);
-    hidden = forwardLayers(caches, std::move(hidden), Stage::Prefill,
-                           count);
-    return sample(hidden, 1, count).front();
-}
-
-std::int64_t
-CooperativeExecutor::decodeOne(KvCache &cache, std::int64_t token)
-{
-    LIA_ASSERT(cache.batch() == 1,
-               "per-sequence decode wants a batch-1 cache");
-    KvCache *const caches[] = {&cache};
-    return decodeBatch(caches, {token}).front();
-}
-
-std::vector<std::int64_t>
-CooperativeExecutor::decodeBatch(std::span<KvCache *const> caches,
-                                 const std::vector<std::int64_t> &tokens)
-{
-    LIA_ASSERT(!caches.empty(), "decode batch without sequences");
+    LIA_ASSERT(!feeds.empty(), "forward pass without feeds");
     std::int64_t rows = 0;
-    for (const KvCache *cache : caches) {
-        LIA_ASSERT(cache->length() > 0, "decode against an empty cache");
-        rows += cache->batch();
+    for (std::size_t f = 0; f < feeds.size(); ++f) {
+        const ForwardFeed &feed = feeds[f];
+        LIA_ASSERT(feed.cache != nullptr, "forward feed without a cache");
+        const std::int64_t batch = feed.cache->batch();
+        const auto count = static_cast<std::int64_t>(feed.tokens.size());
+        LIA_ASSERT(count > 0 && count % batch == 0, "forward feeds ",
+                   count, " tokens to ", batch, " rows");
+        LIA_ASSERT(feed.stage == Stage::Prefill ||
+                       feed.cache->length() > 0,
+                   "decode against an empty cache");
+        for (std::size_t g = 0; g < f; ++g)
+            LIA_ASSERT(feeds[g].cache != feed.cache,
+                       "two feeds of one pass share a cache");
+        rows += count;
     }
-    LIA_ASSERT(static_cast<std::int64_t>(tokens.size()) == rows,
-               "decode batch feeds ", tokens.size(), " tokens to ", rows,
-               " rows");
-    Tensor hidden = embed(tokens, caches, 1);
-    hidden = forwardLayers(caches, std::move(hidden), Stage::Decode, 1);
-    return sample(hidden, rows, 1);
-}
 
-std::vector<std::int64_t>
-CooperativeExecutor::sampleAll(const Tensor &hidden,
-                               std::int64_t tokens)
-{
-    LIA_ASSERT(hidden.dim(0) == tokens, "hidden rows != tokens");
-    // Every row feeds the LM head. layerNorm, the packed projection,
-    // and greedy row sampling are all row-independent and row-count
-    // invariant (DESIGN.md §7), so row i here is bit-identical to the
-    // single-row sample() of a sequential decode at that position.
-    Tensor normed =
-        layerNorm(hidden, weights_.lnFinalGain, weights_.lnFinalBias,
-                  kernelOpts_);
-    Tensor logits = matmulPacked(normed, weights_.packedLmHead,
-                                 Tensor(), kernelOpts_);
-    return sampler_.sampleRows(logits);
+    Tensor hidden = forwardLayers(feeds, embed(feeds, rows));
+
+    // The hidden rows the LM head samples: each row's final position,
+    // or every position of a sampleEvery feed.
+    std::vector<std::int64_t> picked;
+    std::int64_t row = 0;
+    for (const ForwardFeed &feed : feeds) {
+        const std::int64_t tokens = rowTokens(feed);
+        for (std::int64_t b = 0; b < feed.cache->batch(); ++b) {
+            for (std::int64_t t = feed.sampleEvery ? 0 : tokens - 1;
+                 t < tokens; ++t)
+                picked.push_back(row + t);
+            row += tokens;
+        }
+    }
+    return sample(hidden, picked);
 }
 
 SpeculativeVerify
@@ -428,7 +371,6 @@ CooperativeExecutor::verifyBatch(KvCache &cache,
 {
     LIA_ASSERT(cache.batch() == 1,
                "per-sequence verify wants a batch-1 cache");
-    LIA_ASSERT(cache.length() > 0, "verify against an empty cache");
     LIA_ASSERT(!drafts.empty(), "verify needs at least one draft");
     const auto k = static_cast<std::int64_t>(drafts.size());
     const std::int64_t base = cache.length();
@@ -437,16 +379,9 @@ CooperativeExecutor::verifyBatch(KvCache &cache,
     // the k drafts shifted right by one. Position i's sample depends
     // only on inputs up to i (causal masking), which equal the true
     // greedy stream while the draft prefix holds.
-    std::vector<std::int64_t> feed;
-    feed.reserve(static_cast<std::size_t>(k + 1));
-    feed.push_back(last_token);
-    feed.insert(feed.end(), drafts.begin(), drafts.end());
-
-    KvCache *const caches[] = {&cache};
-    Tensor hidden = embed(feed, caches, k + 1);
-    hidden = forwardLayers(caches, std::move(hidden), Stage::Decode,
-                           k + 1);
-    const std::vector<std::int64_t> samples = sampleAll(hidden, k + 1);
+    ForwardFeed feed{&cache, {last_token}, Stage::Decode, true};
+    feed.tokens.insert(feed.tokens.end(), drafts.begin(), drafts.end());
+    const std::vector<std::int64_t> samples = forward({&feed, 1});
 
     SpeculativeVerify out;
     while (out.accepted < k &&
@@ -469,16 +404,39 @@ CooperativeExecutor::generate(
     std::int64_t l_out)
 {
     LIA_ASSERT(l_out >= 1, "need at least one output token");
-    std::vector<std::vector<std::int64_t>> out(prompts.size());
-
-    std::vector<std::int64_t> next = prefill(prompts);
-    for (std::size_t b = 0; b < prompts.size(); ++b)
-        out[b].push_back(next[b]);
-    for (std::int64_t t = 1; t < l_out; ++t) {
-        next = decodeStep(next);
-        for (std::size_t b = 0; b < prompts.size(); ++b)
-            out[b].push_back(next[b]);
+    LIA_ASSERT(!prompts.empty(), "empty batch");
+    const auto &cfg = weights_.config;
+    const auto batch = static_cast<std::int64_t>(prompts.size());
+    const std::size_t tokens = prompts[0].size();
+    LIA_ASSERT(tokens > 0, "empty prompt");
+    ForwardFeed feed{nullptr, {}, Stage::Prefill};
+    for (const auto &p : prompts) {
+        LIA_ASSERT(p.size() == tokens, "prompts must share one length");
+        feed.tokens.insert(feed.tokens.end(), p.begin(), p.end());
     }
+
+    // The cache is host-resident (§5's assumption) and lives for the
+    // call.
+    KvCache cache(cfg, batch, cfg.maxSeqLen);
+    const double cache_bytes =
+        units::bytesPerElement * 2.0 * static_cast<double>(batch) *
+        static_cast<double>(cfg.maxSeqLen) *
+        static_cast<double>(cfg.kvDim()) *
+        static_cast<double>(cfg.numLayers);
+    const bool ok = cpu_.tryAllocate(cache_bytes);
+    LIA_ASSERT(ok, "KV cache does not fit host memory");
+    feed.cache = &cache;
+
+    // One prefill pass, then decode passes feeding each sampled token
+    // back; the sampler sees the rows in batch order every pass.
+    std::vector<std::vector<std::int64_t>> out(prompts.size());
+    for (std::int64_t t = 0; t < l_out; ++t) {
+        feed.tokens = forward({&feed, 1});
+        feed.stage = Stage::Decode;
+        for (std::size_t b = 0; b < prompts.size(); ++b)
+            out[b].push_back(feed.tokens[b]);
+    }
+    cpu_.release(cache_bytes);
     return out;
 }
 

@@ -40,7 +40,6 @@ struct ExecutorConfig
     core::Policy prefillPolicy = core::Policy::fullCpu();
     core::Policy decodePolicy = core::Policy::fullCpu();
     int residentLayers = 0;     //!< Optimization-1 resident prefix
-    bool bf16Rounding = true;   //!< emulate BF16 numerics
     SamplingConfig sampling;    //!< token selection (greedy default)
     /**
      * Weight storage/execution precision. At Int8 the executor packs
@@ -57,10 +56,10 @@ struct ExecutorConfig
         model::WeightPrecision::Bf16;
     /**
      * Pool the kernels run on; injected at construction so every
-     * prefill/decode call — including the serving backend's one
-     * decodeBatch pass per iteration — reuses one set of persistent
-     * workers. Null selects the process-wide shared pool. Thread
-     * count never changes results (DESIGN.md §7).
+     * forward pass — including the serving backend's one pass per
+     * iteration — reuses one set of persistent workers. Null selects
+     * the process-wide shared pool. Thread count never changes
+     * results (DESIGN.md §7).
      */
     std::shared_ptr<base::ThreadPool> pool;
     /**
@@ -87,6 +86,21 @@ struct SpeculativeVerify
     std::vector<std::int64_t> emitted;   //!< accepted+1 tokens
 };
 
+/**
+ * One cache's share of a forward pass: its batch rows feed T tokens
+ * each, at positions cache->length() onward.
+ */
+struct ForwardFeed
+{
+    KvCache *cache = nullptr;
+    /** cache->batch() * T token ids, row by row. */
+    std::vector<std::int64_t> tokens;
+    /** The stage the feed is charged as: its policy and cost model. */
+    model::Stage stage = model::Stage::Decode;
+    /** Sample every position (a verify pass), not only the last. */
+    bool sampleEvery = false;
+};
+
 /** The cooperative inference executor. */
 class CooperativeExecutor
 {
@@ -97,76 +111,45 @@ class CooperativeExecutor
     ~CooperativeExecutor();
 
     /**
-     * Run the prefill stage over same-length prompts; returns the
-     * greedy next token of each sequence.
+     * One forward pass over every feed, against caller-owned caches
+     * (DESIGN.md §6). Each feed's rows embed at their own positions,
+     * append their KV to their own cache and attend over their own
+     * context, so a pass may mix prefill chunks, decode steps and
+     * verify positions of many sequences; every projection, LayerNorm
+     * and the LM head run once at m = Σ rows × T. Rows are independent
+     * in every kernel, so each feed's tokens and KV are bit-identical
+     * to a pass of that feed alone, and the ledger is charged feed by
+     * feed at each feed's stage, policy and context, in feed order —
+     * the order separate passes charge in.
+     *
+     * Returns the sampled tokens feed by feed, row by row: T per row
+     * of a sampleEvery feed, otherwise one (its final position's).
+     * Caches must be distinct; a Decode feed needs a non-empty cache.
      */
-    std::vector<std::int64_t>
-    prefill(const std::vector<std::vector<std::int64_t>> &prompts);
+    std::vector<std::int64_t> forward(std::span<const ForwardFeed> feeds);
 
     /**
-     * Run one decode step feeding back @p tokens (one per sequence);
-     * returns the next tokens.
-     */
-    std::vector<std::int64_t>
-    decodeStep(const std::vector<std::int64_t> &tokens);
-
-    /**
-     * Full generation: prefill then decode until each sequence has
-     * @p l_out generated tokens. Returns (B, l_out) token ids.
+     * Full generation on a local batch cache: one prefill pass over
+     * the same-length @p prompts, then decode passes until each
+     * sequence has @p l_out generated tokens. Returns (B, l_out)
+     * token ids.
      */
     std::vector<std::vector<std::int64_t>>
     generate(const std::vector<std::vector<std::int64_t>> &prompts,
              std::int64_t l_out);
 
-    // --- Per-sequence serving entry points ---------------------------
-    //
-    // The serving runtime backend interleaves many variable-length
-    // sequences, each with its own caller-owned KvCache, as the
-    // scheduler's iteration plans dictate. These run the same layer
-    // stack as the batch API against an explicit cache, so chunked
-    // prefill, decode, and recompute-after-eviction all produce
-    // bit-identical numerics to an uninterrupted run.
-
     /**
-     * Run @p tokens of one sequence's prompt on top of @p cache's
-     * materialised history (empty cache = monolithic prefill; the
-     * token positions start at the current cache length). Returns the
-     * sampled next token of the chunk's final position — meaningful
-     * once the chunk completes the prompt.
-     */
-    std::int64_t prefillChunk(KvCache &cache,
-                              const std::vector<std::int64_t> &tokens);
-
-    /** One decode step of one sequence: feed @p token, sample the next. */
-    std::int64_t decodeOne(KvCache &cache, std::int64_t token);
-
-    /**
-     * One decode step of many sequences in one forward pass: feed
-     * @p tokens — one per batch row of @p caches, each cache's rows in
-     * order — and return the next token of each row. Every projection,
-     * LayerNorm and the LM head run once at m = rows; each row embeds
-     * at its own position, appends its KV to its own cache, and
-     * attends over its own (ragged) context. Rows are independent in
-     * every kernel (DESIGN.md §6), so row i's token is bit-identical
-     * to a decodeOne of that sequence alone, and the ledger is charged
-     * per cache at its own context, in cache order, exactly as
-     * sequential decodeOne calls charge it.
-     */
-    std::vector<std::int64_t>
-    decodeBatch(std::span<KvCache *const> caches,
-                const std::vector<std::int64_t> &tokens);
-
-    /**
-     * Score @p drafts (k proposed tokens) in one batched decode pass
+     * Score @p drafts (k proposed tokens) in one Decode forward pass
      * feeding [@p last_token, d1..dk-1] — k+1 positions — and sample
      * every position. Greedy accept: the longest prefix where draft i
      * equals the target's sample at position i-1 is kept, plus the
      * target's sample one past it. The cache is rolled back to the
      * accepted length, so after the call
      * `cache.length() == old_length + accepted + 1` — exactly as if
-     * the emitted tokens had been produced by sequential decodeOne
-     * calls, and bit-identical to them (the kernels are row-count
-     * invariant and causal masking is position-exact, DESIGN.md §11).
+     * the emitted tokens had been produced by sequential one-token
+     * decode passes, and bit-identical to them (the kernels are
+     * row-count invariant and causal masking is position-exact,
+     * DESIGN.md §11).
      */
     SpeculativeVerify
     verifyBatch(KvCache &cache, std::int64_t last_token,
@@ -175,7 +158,6 @@ class CooperativeExecutor
     const TransferLedger &ledger() const { return ledger_; }
     const SimDevice &cpuDevice() const { return cpu_; }
     const SimDevice &gpuDevice() const { return gpu_; }
-    const KvCache &cache() const;
 
     /** Modeled serial latency: device busy times plus link time. */
     double modeledSerialLatency() const;
@@ -194,30 +176,23 @@ class CooperativeExecutor
 
   private:
     /**
-     * The one forward layer loop: run every decoder layer over the
-     * (rows * tokens, d) hidden states of @p caches' batch rows (each
-     * cache's rows in order, rows b-major), appending this step's KV
-     * to each cache, then charge each cache's sublayers at its own
-     * context.
+     * The layer loop of forward(): run every decoder layer over the
+     * hidden states of @p feeds' rows (feed by feed, each row's T
+     * positions in order), appending each feed's KV to its cache,
+     * then charge each feed's sublayers at its own context.
      */
-    Tensor forwardLayers(std::span<KvCache *const> caches, Tensor hidden,
-                         model::Stage stage, std::int64_t tokens);
+    Tensor forwardLayers(std::span<const ForwardFeed> feeds,
+                         Tensor hidden);
 
-    /** Gather embeddings for one step: row r of cache c sits at
-     *  position c.length() + t. */
-    Tensor embed(const std::vector<std::int64_t> &flat_tokens,
-                 std::span<KvCache *const> caches, std::int64_t tokens);
+    /** Gather the embeddings of every feed row at its positions. */
+    Tensor embed(std::span<const ForwardFeed> feeds, std::int64_t rows);
 
-    /** Project hidden states to logits and sample the next tokens. */
-    std::vector<std::int64_t> sample(const Tensor &hidden,
-                                     std::int64_t batch,
-                                     std::int64_t tokens);
-
-    /** Project and sample every position of a batch-1 multi-token
-     *  step: one sampled token per row (the verify pass scores all
-     *  k+1 positions at once). */
-    std::vector<std::int64_t> sampleAll(const Tensor &hidden,
-                                        std::int64_t tokens);
+    /**
+     * Project the hidden rows @p picked (in order) to logits and
+     * sample one token per row.
+     */
+    std::vector<std::int64_t>
+    sample(const Tensor &hidden, const std::vector<std::int64_t> &picked);
 
     /** Account one sublayer's transfers and compute time. */
     void chargeSublayer(int index, model::Stage stage,
@@ -233,9 +208,6 @@ class CooperativeExecutor
     SimDevice gpu_;
     TransferLedger ledger_;
     Sampler sampler_;
-
-    std::unique_ptr<KvCache> cache_;
-    double cacheAllocation_ = 0;  //!< host bytes reserved for the cache
 
     /** Owned when config_.profileKernels; also the pool observer. */
     std::unique_ptr<obs::KernelProfiler> profiler_;

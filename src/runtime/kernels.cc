@@ -465,28 +465,32 @@ int8TilesSse2(const std::int8_t *aq, std::int64_t lda, const float *sa,
     }
 }
 
-/** The one shape check of attention() and scalarAttention(). */
-void
+/**
+ * The one shape check of attention() and scalarAttention(); returns
+ * each view's first query row in @p q (and, last, the row count).
+ */
+std::vector<std::int64_t>
 checkAttentionShapes(const Tensor &q, std::span<const KvLayerView> kv,
-                     std::int64_t tokens, std::int64_t heads,
-                     std::int64_t kvHeads, std::int64_t headDim)
+                     std::int64_t heads, std::int64_t kvHeads,
+                     std::int64_t headDim)
 {
-    const auto batch = static_cast<std::int64_t>(kv.size());
-    LIA_ASSERT(q.ndim() == 2 && batch > 0 && tokens > 0 &&
-                   headDim > 0 && kvHeads > 0 &&
-                   heads % kvHeads == 0 &&
-                   q.dim(0) == batch * tokens &&
-                   q.dim(1) == heads * headDim,
-               "attention shape mismatch: q ", q.dim(0), "x", q.dim(1),
-               ", batch ", batch, ", tokens ", tokens, ", heads ", heads,
-               "/", kvHeads, "x", headDim);
+    std::vector<std::int64_t> first{0};
     for (const KvLayerView &row : kv) {
         LIA_ASSERT(row.rowStride == kvHeads * headDim &&
-                       row.length >= tokens,
+                       row.queries > 0 && row.length >= row.queries,
                    "attention view mismatch: length ", row.length,
-                   " stride ", row.rowStride, " for ", tokens,
-                   " tokens of ", kvHeads, "x", headDim);
+                   " stride ", row.rowStride, " for ", row.queries,
+                   " queries of ", kvHeads, "x", headDim);
+        first.push_back(first.back() + row.queries);
     }
+    LIA_ASSERT(q.ndim() == 2 && !kv.empty() && headDim > 0 &&
+                   kvHeads > 0 && heads % kvHeads == 0 &&
+                   q.dim(0) == first.back() &&
+                   q.dim(1) == heads * headDim,
+               "attention shape mismatch: q ", q.dim(0), "x", q.dim(1),
+               ", ", kv.size(), " views of ", first.back(),
+               " queries, heads ", heads, "/", kvHeads, "x", headDim);
+    return first;
 }
 
 /**
@@ -1022,45 +1026,52 @@ tierInt8(const Tensor &a, const PackedInt8Matrix &b, const Tensor &bias,
 /** attention() on one tier's (row, head) item. */
 Tensor
 attentionOn(const TierKernels &tier, const Tensor &q,
-            std::span<const KvLayerView> kv, std::int64_t tokens,
-            std::int64_t heads, std::int64_t kvHeads, std::int64_t headDim,
+            std::span<const KvLayerView> kv, std::int64_t heads,
+            std::int64_t kvHeads, std::int64_t headDim,
             const KernelOptions &opts)
 {
     obs::KernelProfiler::Scope profile(opts.profiler, "attention");
-    checkAttentionShapes(q, kv, tokens, heads, kvHeads, headDim);
+    const std::vector<std::int64_t> first =
+        checkAttentionShapes(q, kv, heads, kvHeads, headDim);
     const auto batch = static_cast<std::int64_t>(kv.size());
     const std::int64_t d = heads * headDim;
     const std::int64_t group = heads / kvHeads;
     const float scale = 1.0f / std::sqrt(static_cast<float>(headDim));
-    std::int64_t longest = 0;
-    for (const KvLayerView &row : kv)
-        longest = std::max(longest, row.length);
+    // Per row: two dh-wide sweeps and one std::exp per cached token,
+    // per query token. The dispatch is sized by the rows' summed work,
+    // so a decode row beside a prefill chunk is not priced as a chunk,
+    // and the scratch by the largest row.
+    double work = 0;
+    std::size_t scratch = 0;
+    for (const KvLayerView &row : kv) {
+        work += static_cast<double>(row.queries * row.length);
+        scratch = std::max(scratch,
+                           static_cast<std::size_t>(tier.attentionScratch(
+                               row.queries, row.length, headDim)));
+    }
+    const double item_ns =
+        work / static_cast<double>(batch) *
+        (tier.attentionColumnNs * static_cast<double>(headDim) +
+         tier.attentionKeyNs);
 
-    Tensor out({batch * tokens, d});
+    Tensor out({first.back(), d});
     const float *pq = q.data();
     float *po = out.data();
     // (row, head)-partitioned: each pair reads its KV head in place
     // and writes a disjoint column slice of the output, so any
-    // schedule produces identical bits. Per item: two dh-wide sweeps
-    // and one std::exp per cached token, per query token.
-    const double item_ns =
-        static_cast<double>(tokens * longest) *
-        (tier.attentionColumnNs * static_cast<double>(headDim) +
-         tier.attentionKeyNs);
-    const auto scratch = static_cast<std::size_t>(
-        tier.attentionScratch(tokens, longest, headDim));
+    // schedule produces identical bits.
     parallelRun(opts, batch * heads, item_ns, [&](std::int64_t bh0,
                                                   std::int64_t bh1) {
         // Every float is written before it is read.
         const std::unique_ptr<float[]> p(new float[scratch]);
         for (std::int64_t bh = bh0; bh < bh1; ++bh) {
-            const std::int64_t b = bh / heads;
+            const auto b = static_cast<std::size_t>(bh / heads);
             const std::int64_t h = bh % heads;
-            const KvLayerView &view = kv[static_cast<std::size_t>(b)];
+            const KvLayerView &view = kv[b];
             const std::int64_t col = (h / group) * headDim;
-            const std::int64_t at = b * tokens * d + h * headDim;
+            const std::int64_t at = first[b] * d + h * headDim;
             tier.attentionHead(pq + at, d, view.k + col, view.v + col,
-                               view.rowStride, view.length, tokens,
+                               view.rowStride, view.length, view.queries,
                                headDim, scale, opts.bf16Rounding, po + at,
                                p.get());
         }
@@ -1071,10 +1082,10 @@ attentionOn(const TierKernels &tier, const Tensor &q,
 template <const TierKernels &K>
 Tensor
 tierAttention(const Tensor &q, std::span<const KvLayerView> kv,
-              std::int64_t tokens, std::int64_t heads, std::int64_t kvHeads,
+              std::int64_t heads, std::int64_t kvHeads,
               std::int64_t headDim, const KernelOptions &opts)
 {
-    return attentionOn(K, q, kv, tokens, heads, kvHeads, headDim, opts);
+    return attentionOn(K, q, kv, heads, kvHeads, headDim, opts);
 }
 
 #if LIA_KERNEL_SSE2
@@ -1202,36 +1213,36 @@ causalSoftmaxRows(Tensor &t, std::int64_t offset,
 
 Tensor
 attention(const Tensor &q, std::span<const KvLayerView> kv,
-          std::int64_t tokens, std::int64_t heads, std::int64_t kvHeads,
-          std::int64_t headDim, const KernelOptions &opts)
+          std::int64_t heads, std::int64_t kvHeads, std::int64_t headDim,
+          const KernelOptions &opts)
 {
-    return activeKernelTier().attention(q, kv, tokens, heads, kvHeads,
-                                        headDim, opts);
+    return activeKernelTier().attention(q, kv, heads, kvHeads, headDim,
+                                        opts);
 }
 
 Tensor
 scalarAttention(const Tensor &q, std::span<const KvLayerView> kv,
-                std::int64_t tokens, std::int64_t heads,
-                std::int64_t kvHeads, std::int64_t headDim,
-                const KernelOptions &opts)
+                std::int64_t heads, std::int64_t kvHeads,
+                std::int64_t headDim, const KernelOptions &opts)
 {
     obs::KernelProfiler::Scope profile(opts.profiler, "scalar_attention");
-    checkAttentionShapes(q, kv, tokens, heads, kvHeads, headDim);
+    const std::vector<std::int64_t> first =
+        checkAttentionShapes(q, kv, heads, kvHeads, headDim);
     const KernelOptions serial{opts.bf16Rounding, nullptr};
-    const auto batch = static_cast<std::int64_t>(kv.size());
     const std::int64_t group = heads / kvHeads;
     const float scale = 1.0f / std::sqrt(static_cast<float>(headDim));
 
-    Tensor out({batch * tokens, heads * headDim});
-    for (std::int64_t b = 0; b < batch; ++b) {
-        const KvLayerView &view = kv[static_cast<std::size_t>(b)];
+    Tensor out({first.back(), heads * headDim});
+    for (std::size_t b = 0; b < kv.size(); ++b) {
+        const KvLayerView &view = kv[b];
         const std::int64_t len = view.length;
+        const std::int64_t tokens = view.queries;
         for (std::int64_t h = 0; h < heads; ++h) {
             const std::int64_t kvh = h / group;
             Tensor qh({tokens, headDim});
             for (std::int64_t t = 0; t < tokens; ++t)
                 for (std::int64_t c = 0; c < headDim; ++c)
-                    qh.at(t, c) = q.at(b * tokens + t, h * headDim + c);
+                    qh.at(t, c) = q.at(first[b] + t, h * headDim + c);
             Tensor kh({len, headDim});
             Tensor vh({len, headDim});
             for (std::int64_t i = 0; i < len; ++i) {
@@ -1248,7 +1259,7 @@ scalarAttention(const Tensor &q, std::span<const KvLayerView> kv,
             Tensor ctx = scalarMatmul(scores, vh, Tensor(), serial);
             for (std::int64_t t = 0; t < tokens; ++t)
                 for (std::int64_t c = 0; c < headDim; ++c)
-                    out.at(b * tokens + t, h * headDim + c) = ctx.at(t, c);
+                    out.at(first[b] + t, h * headDim + c) = ctx.at(t, c);
         }
     }
     return out;

@@ -208,9 +208,8 @@ struct KernelTier
                              std::int8_t *out);
     /** attention(), bit-identical to scalarAttention. */
     Tensor (*attention)(const Tensor &q, std::span<const KvLayerView> kv,
-                        std::int64_t tokens, std::int64_t heads,
-                        std::int64_t kvHeads, std::int64_t headDim,
-                        const KernelOptions &opts);
+                        std::int64_t heads, std::int64_t kvHeads,
+                        std::int64_t headDim, const KernelOptions &opts);
 };
 
 /** The SSE2 tier (portable scalar code on non-x86 builds). */
@@ -238,26 +237,28 @@ void causalSoftmaxRows(Tensor &t, std::int64_t offset,
 /**
  * Causal multi-head attention reading K and V in place, one cache view
  * per batch row — a batch-B cache contributes B views of itself, and
- * a decode batch over B sequences one view of each, so contexts may be
- * ragged. Query row (b, t) of head h attends to the first
- * `kv[b].length - tokens + t + 1` tokens of view b, using KV head
+ * a forward pass over many sequences one view of each, so both the
+ * contexts and the query counts may be ragged. View b owns
+ * `kv[b].queries` query rows (its tokens this step); query row t of
+ * view b and head h attends to the first `kv[b].length -
+ * kv[b].queries + t + 1` tokens of the view, using KV head
  * h / (heads / kvHeads) (grouped-query attention when kvHeads <
- * heads). Parallel over (row, head); each head runs scalarAttention's
- * float operations in its order — QK^T dot products k-ascending from
- * 0, BF16 rounding then scaling of the scores, the causal softmax and
- * its rounding, S·V accumulated j-ascending into zeroed rows and its
- * rounding — so the result is bit-identical to it at any thread count.
+ * heads). Parallel over (row, head), sized by the summed work of the
+ * rows; each head runs scalarAttention's float operations in its
+ * order — QK^T dot products k-ascending from 0, BF16 rounding then
+ * scaling of the scores, the causal softmax and its rounding, S·V
+ * accumulated j-ascending into zeroed rows and its rounding — so the
+ * result is bit-identical to it at any thread count.
  *
- * @param q   (kv.size() * tokens, heads * headDim), rows (b, t)
- *            b-major
+ * @param q   (Σ kv[b].queries, heads * headDim): each view's query
+ *            rows in view order
  * @param kv  one view per batch row; each length includes this step's
  *            tokens
- * @return    (kv.size() * tokens, heads * headDim)
+ * @return    (Σ kv[b].queries, heads * headDim), rows as in @p q
  */
 Tensor attention(const Tensor &q, std::span<const KvLayerView> kv,
-                 std::int64_t tokens, std::int64_t heads,
-                 std::int64_t kvHeads, std::int64_t headDim,
-                 const KernelOptions &opts = {});
+                 std::int64_t heads, std::int64_t kvHeads,
+                 std::int64_t headDim, const KernelOptions &opts = {});
 
 /**
  * Retained single-thread reference of attention(): per row and head,
@@ -266,8 +267,8 @@ Tensor attention(const Tensor &q, std::span<const KvLayerView> kv,
  * scalarMatmul.
  */
 Tensor scalarAttention(const Tensor &q, std::span<const KvLayerView> kv,
-                       std::int64_t tokens, std::int64_t heads,
-                       std::int64_t kvHeads, std::int64_t headDim,
+                       std::int64_t heads, std::int64_t kvHeads,
+                       std::int64_t headDim,
                        const KernelOptions &opts = {});
 
 /** LayerNorm over the last axis with learned gain/bias (both (n)). */

@@ -110,6 +110,13 @@ struct KvLayerView
     const float *v = nullptr;
     std::int64_t length = 0;       //!< tokens readable
     std::int64_t rowStride = 0;    //!< floats per token (kvDim)
+    /**
+     * Query rows attention runs against this view: the tokens the row
+     * appended this step, the last `queries` of `length`. view()
+     * leaves it at 1, a decode row; a forward pass sets each row's
+     * own count.
+     */
+    std::int64_t queries = 1;
 };
 
 /** Growing K/V storage for all layers of one batch. */

@@ -161,12 +161,5 @@ IterationCostCache::specEstimate(std::int64_t batch,
     return it->second;
 }
 
-double
-IterationCostCache::specTime(std::int64_t batch, std::int64_t context,
-                             std::int64_t draft_tokens) const
-{
-    return specEstimate(batch, context, draft_tokens).time;
-}
-
 } // namespace serve
 } // namespace lia

@@ -80,17 +80,13 @@ class IterationCostCache
         std::int64_t tokens) const;
 
     /**
-     * Seconds for one speculative decode iteration: @p draft_tokens
-     * CPU-side draft proposals plus the target's k+1-token verify
-     * pass, at @p batch sequences of @p context history
-     * (core::EngineModel's spec pricing, quantised and memoised like
-     * the rest). The quantised verify end is clamped inside the model
-     * maximum, mirroring chunkEstimate.
+     * Engine estimate of one speculative decode iteration:
+     * @p draft_tokens CPU-side draft proposals plus the target's
+     * k+1-token verify pass, at @p batch sequences of @p context
+     * history (core::EngineModel's spec pricing, quantised and
+     * memoised like the rest). The quantised verify end is clamped
+     * inside the model maximum, mirroring chunkEstimate.
      */
-    double specTime(std::int64_t batch, std::int64_t context,
-                    std::int64_t draft_tokens) const;
-
-    /** Full engine estimate behind specTime() — same key, same memo. */
     const core::IterationEstimate &specEstimate(
         std::int64_t batch, std::int64_t context,
         std::int64_t draft_tokens) const;

@@ -78,8 +78,8 @@ ServingEngine::run(ExecutionBackend *backend)
     instance.setPlannerCap(plannerCap_);
 
     // Draw the arrival sequence and request shapes up front, sharing
-    // the Poisson helper (and its seed convention) with the M/G/1
-    // simulators so equal seeds mean equal workloads.
+    // the Poisson helper (and its seed convention) with the cluster
+    // router so equal seeds mean equal workloads.
     sim::PoissonProcess arrivals(config_.arrivalRatePerSecond,
                                  config_.seed);
     if (config_.prefix.sharingPools > 0) {

@@ -442,20 +442,25 @@ EngineInstance::startIteration()
     }
     inFlight_ = true;
 
+    // Price the iteration once: the chunk batch at its widest chunk
+    // and deepest history, the decode batch at its longest context.
+    const core::IterationEstimate *chunkCost = nullptr;
+    const core::IterationEstimate *decodeCost = nullptr;
     double duration = 0;
-    std::int64_t chunkTokens = 1, chunkHistory = 0;
-    std::int64_t decodeContext = 1;
     if (!plan.chunks.empty()) {
+        std::int64_t chunkTokens = 1, chunkHistory = 0;
         for (const PrefillChunk &chunk : plan.chunks) {
             chunkTokens = std::max(chunkTokens, chunk.tokens);
             chunkHistory = std::max(chunkHistory, chunk.history);
         }
-        duration += costs_.chunkTime(
-            static_cast<std::int64_t>(plan.chunks.size()),
-            chunkHistory, chunkTokens);
+        chunkCost = &costs_.chunkEstimate(
+            static_cast<std::int64_t>(plan.chunks.size()), chunkHistory,
+            chunkTokens);
+        duration += chunkCost->time;
         metrics_.prefillChunks += plan.chunks.size();
     }
     if (!plan.decode.empty()) {
+        std::int64_t decodeContext = 1;
         for (std::size_t index : plan.decode)
             decodeContext = std::max(decodeContext,
                                      requests_[index].context());
@@ -465,12 +470,13 @@ EngineInstance::startIteration()
         std::int64_t spec_k = 0;
         for (std::int64_t k : plan.specDrafts)
             spec_k = std::max(spec_k, k);
-        duration += spec_k > 0
-                        ? costs_.specTime(plan.decodePriceBatch,
-                                          decodeContext, spec_k)
-                        : costs_.time(Stage::Decode,
-                                      plan.decodePriceBatch,
-                                      decodeContext);
+        decodeCost = spec_k > 0
+                         ? &costs_.specEstimate(plan.decodePriceBatch,
+                                                decodeContext, spec_k)
+                         : &costs_.estimate(Stage::Decode,
+                                            plan.decodePriceBatch,
+                                            decodeContext);
+        duration += decodeCost->time;
     }
     LIA_ASSERT(duration > 0, "iteration priced at zero time");
 
@@ -486,8 +492,8 @@ EngineInstance::startIteration()
     metrics_.busyTime += duration;
 
     if (sink_)
-        emitIteration(plan, now, duration, depth, chunkTokens,
-                      chunkHistory, decodeContext);
+        emitIteration(plan, now, duration, depth, chunkCost,
+                      decodeCost);
 
     events_.schedule(now + duration,
                      [this, plan = std::move(plan)]() {
@@ -500,42 +506,29 @@ EngineInstance::startIteration()
  * the per-iteration counter samples. Duration is known when the
  * iteration is scheduled and iterations run serially, so begin
  * and end can be emitted together and stay per-track monotone.
- * The breakdown lookups hit cache entries the pricing above just
- * created — an instrumented run evaluates no extra points.
+ * @p chunk_cost and @p decode_cost are the estimates the iteration
+ * was priced at (null when it has no chunks or no decodes).
  */
 void
 EngineInstance::emitIteration(const IterationPlan &plan, double now,
                               double duration, std::size_t depth,
-                              std::int64_t chunk_tokens,
-                              std::int64_t chunk_history,
-                              std::int64_t decode_context)
+                              const core::IterationEstimate *chunk_cost,
+                              const core::IterationEstimate *decode_cost)
 {
     core::Breakdown breakdown;
     double pcie_bytes = 0;
-    auto accumulate = [&](const core::IterationEstimate &est) {
-        breakdown.cpuTime += est.breakdown.cpuTime;
-        breakdown.gpuTime += est.breakdown.gpuTime;
-        breakdown.comTime += est.breakdown.comTime;
-        pcie_bytes += est.pcieBytes;
-    };
-    if (!plan.chunks.empty())
-        accumulate(costs_.chunkEstimate(
-            static_cast<std::int64_t>(plan.chunks.size()),
-            chunk_history, chunk_tokens));
-    std::int64_t spec_k = 0, spec_drafted = 0, spec_accepted = 0;
+    for (const core::IterationEstimate *est : {chunk_cost, decode_cost}) {
+        if (est == nullptr)
+            continue;
+        breakdown.cpuTime += est->breakdown.cpuTime;
+        breakdown.gpuTime += est->breakdown.gpuTime;
+        breakdown.comTime += est->breakdown.comTime;
+        pcie_bytes += est->pcieBytes;
+    }
+    std::int64_t spec_drafted = 0, spec_accepted = 0;
     for (std::size_t i = 0; i < plan.specDrafts.size(); ++i) {
-        spec_k = std::max(spec_k, plan.specDrafts[i]);
         spec_drafted += plan.specDrafts[i];
         spec_accepted += plan.specAccepted[i];
-    }
-    if (!plan.decode.empty()) {
-        if (spec_k > 0)
-            accumulate(costs_.specEstimate(plan.decodePriceBatch,
-                                           decode_context, spec_k));
-        else
-            accumulate(costs_.estimate(Stage::Decode,
-                                       plan.decodePriceBatch,
-                                       decode_context));
     }
 
     // Counters first (they sample `now`): the iteration span ends

@@ -160,9 +160,8 @@ class EngineInstance
     void resolveSpeculation(IterationPlan &plan);
     void emitIteration(const IterationPlan &plan, double now,
                        double duration, std::size_t depth,
-                       std::int64_t chunk_tokens,
-                       std::int64_t chunk_history,
-                       std::int64_t decode_context);
+                       const core::IterationEstimate *chunk_cost,
+                       const core::IterationEstimate *decode_cost);
     void swapInArrived(std::size_t index);
     void completeIteration(const IterationPlan &plan);
     void finish(Request &request, double now);

@@ -30,11 +30,10 @@ synthWeights(const model::ModelConfig &model, std::uint64_t seed)
 }
 
 /**
- * Every backend shares the process-wide kernel pool: a run issues
- * thousands of prefillChunk calls and one decodeBatch pass per
- * iteration, and reusing one set of persistent workers (instead of any
- * per-call spawning) keeps that stream cheap. Non-owning — the shared
- * pool outlives every executor.
+ * Every backend shares the process-wide kernel pool: a run issues one
+ * forward pass per iteration, thousands of them, and reusing one set
+ * of persistent workers (instead of any per-call spawning) keeps that
+ * stream cheap. Non-owning — the shared pool outlives every executor.
  */
 std::shared_ptr<base::ThreadPool>
 sharedKernelPool()
@@ -151,8 +150,8 @@ RuntimeBackend::applyPrefixOps(const IterationPlan &plan)
     for (const PrefixOp &op : plan.prefixOps) {
         switch (op.kind) {
           case PrefixOp::Kind::Insert: {
-            auto staged = stagedPasses_.find(op.source);
-            LIA_ASSERT(staged != stagedPasses_.end(),
+            auto staged = passes_.find(op.source);
+            LIA_ASSERT(staged != passes_.end(),
                        "prefix insert sources request ", op.source,
                        " but no pass KV is staged for it");
             const runtime::KvCache &pass = *staged->second;
@@ -285,13 +284,11 @@ RuntimeBackend::onPlan(const IterationPlan &plan,
 
     // Prefix-cache mirror first: the engine flushes tree inserts at
     // the top of every iteration (sourcing passes that completed last
-    // plan — rotate the staging maps accordingly) and the scheduler's
-    // lookups saw the post-mutation tree, so all ops apply before any
-    // hit attaches below.
-    stagedPasses_ = std::move(freshPasses_);
-    freshPasses_.clear();
+    // plan) and the scheduler's lookups saw the post-mutation tree,
+    // so all ops apply before any hit attaches below. The inserts
+    // copy what they need; this plan's completions restage.
     applyPrefixOps(plan);
-    stagedPasses_.clear();  // the inserts have copied what they need
+    passes_.clear();
     std::map<std::size_t, const PrefixHit *> hits;
     for (const PrefixHit &hit : plan.prefixHits)
         hits.emplace(hit.index, &hit);
@@ -405,6 +402,12 @@ RuntimeBackend::onPlan(const IterationPlan &plan,
                    seq.prompt.size() + seq.outputs.size());
     }
 
+    // Every prefill chunk and plain decode of the plan runs in one
+    // forward pass (DESIGN.md §6), chunks first in plan order, then
+    // the decodes, so the iteration streams the weights once. Each
+    // entry is checked against its sequence's state before the pass
+    // and completed after it.
+    std::vector<runtime::ForwardFeed> feeds;
     for (const PrefillChunk &chunk : plan.chunks) {
         const Request &request = requests[chunk.index];
         Sequence &seq = sequence(request.id);
@@ -418,47 +421,11 @@ RuntimeBackend::onPlan(const IterationPlan &plan,
                    "chunk overruns the prefill pass");
         const std::vector<std::int64_t> stream = passStream(seq);
         const auto first = stream.begin() + chunk.history;
-        const std::vector<std::int64_t> slice(first,
-                                              first + chunk.tokens);
-        const std::int64_t sampled =
-            executor_.prefillChunk(*seq.cache, slice);
-        seq.passDone += chunk.tokens;
-        ddrBytes_ += perToken * static_cast<double>(chunk.tokens);
-        ++counters_.prefillChunks;
-
-        if (seq.passDone < seq.passTarget)
-            continue;
-
-        // Pass complete: the final position's sample is the pass's
-        // emitted token — the first output token of a fresh prefill,
-        // the continuation token of a recompute.
-        if (seq.recomputing) {
-            LIA_ASSERT(seq.cache->fingerprint(seq.evictedLength,
-                                              kernelPool_.get()) ==
-                           seq.evictedDigest,
-                       "recompute of request ", request.id,
-                       " did not rebuild the evicted KV bit-identically");
-            seq.recomputing = false;
-            ++counters_.recomputesVerified;
-        }
-        seq.outputs.push_back(sampled);
-        ++counters_.passCompletions;
-        if (config_.prefix.enabled) {
-            // The engine flushes this pass into the radix tree next
-            // iteration; stage the cache itself (see freshPasses_).
-            freshPasses_[request.id] = seq.cache;
-        }
-        if (optimistic) {
-            LIA_ASSERT(sameBytes(seq.cache->bf16Bytes(),
-                                 request.kvReservedBytes),
-                       "pass completion: cache ", seq.cache->bf16Bytes(),
-                       " bytes vs reservation ", request.kvReservedBytes);
-        }
+        feeds.push_back({seq.cache.get(), {first, first + chunk.tokens},
+                         model::Stage::Prefill});
     }
 
     std::vector<std::size_t> decoding;
-    std::vector<runtime::KvCache *> decodeCaches;
-    std::vector<std::int64_t> decodeFeed;
     for (std::size_t i = 0; i < plan.decode.size(); ++i) {
         const std::size_t index = plan.decode[i];
         const Request &request = requests[index];
@@ -513,41 +480,76 @@ RuntimeBackend::onPlan(const IterationPlan &plan,
                    "decode of request ", request.id,
                    " starts from a diverged KV length");
         decoding.push_back(index);
-        decodeCaches.push_back(seq.cache.get());
-        decodeFeed.push_back(seq.outputs.back());
+        feeds.push_back({seq.cache.get(), {seq.outputs.back()},
+                         model::Stage::Decode});
     }
 
-    // Every non-speculative decode of the iteration runs as one
-    // forward pass at m = B (DESIGN.md §6): the batch the scheduler
-    // priced as one m = B GEMM is the batch the kernels execute.
-    if (!decoding.empty()) {
-        const std::vector<std::int64_t> next =
-            executor_.decodeBatch(decodeCaches, decodeFeed);
-        for (std::size_t i = 0; i < decoding.size(); ++i) {
-            const Request &request = requests[decoding[i]];
-            Sequence &seq = sequence(request.id);
-            seq.outputs.push_back(next[i]);
-            ddrBytes_ += perToken;
-            ++counters_.decodeSteps;
-            LIA_ASSERT(seq.cache->length() ==
-                           request.lIn +
-                               static_cast<std::int64_t>(
-                                   seq.outputs.size()) - 1,
-                       "decode KV length diverged for request ",
-                       request.id);
-            if (optimistic) {
-                // The scheduler grew the reservation by exactly this
-                // step's token before committing the plan.
-                LIA_ASSERT(sameBytes(seq.cache->bf16Bytes(),
-                                     request.kvReservedBytes),
-                           "decode: cache ", seq.cache->bf16Bytes(),
-                           " bytes vs reservation ",
-                           request.kvReservedBytes);
-            } else {
-                LIA_ASSERT(seq.cache->bf16Bytes() <=
-                               request.kvReservedBytes + 0.5,
-                           "cache grew past the full-horizon reservation");
-            }
+    const std::vector<std::int64_t> sampled =
+        feeds.empty() ? std::vector<std::int64_t>{}
+                      : executor_.forward(feeds);
+
+    for (std::size_t c = 0; c < plan.chunks.size(); ++c) {
+        const PrefillChunk &chunk = plan.chunks[c];
+        const Request &request = requests[chunk.index];
+        Sequence &seq = sequence(request.id);
+        seq.passDone += chunk.tokens;
+        ddrBytes_ += perToken * static_cast<double>(chunk.tokens);
+        ++counters_.prefillChunks;
+
+        if (seq.passDone < seq.passTarget)
+            continue;
+
+        // Pass complete: the final position's sample is the pass's
+        // emitted token — the first output token of a fresh prefill,
+        // the continuation token of a recompute.
+        if (seq.recomputing) {
+            LIA_ASSERT(seq.cache->fingerprint(seq.evictedLength,
+                                              kernelPool_.get()) ==
+                           seq.evictedDigest,
+                       "recompute of request ", request.id,
+                       " did not rebuild the evicted KV bit-identically");
+            seq.recomputing = false;
+            ++counters_.recomputesVerified;
+        }
+        seq.outputs.push_back(sampled[c]);
+        ++counters_.passCompletions;
+        if (config_.prefix.enabled) {
+            // The engine flushes this pass into the radix tree next
+            // iteration; stage the cache itself (see passes_).
+            passes_[request.id] = seq.cache;
+        }
+        if (optimistic) {
+            LIA_ASSERT(sameBytes(seq.cache->bf16Bytes(),
+                                 request.kvReservedBytes),
+                       "pass completion: cache ", seq.cache->bf16Bytes(),
+                       " bytes vs reservation ", request.kvReservedBytes);
+        }
+    }
+
+    for (std::size_t i = 0; i < decoding.size(); ++i) {
+        const Request &request = requests[decoding[i]];
+        Sequence &seq = sequence(request.id);
+        seq.outputs.push_back(sampled[plan.chunks.size() + i]);
+        ddrBytes_ += perToken;
+        ++counters_.decodeSteps;
+        LIA_ASSERT(seq.cache->length() ==
+                       request.lIn +
+                           static_cast<std::int64_t>(
+                               seq.outputs.size()) - 1,
+                   "decode KV length diverged for request ",
+                   request.id);
+        if (optimistic) {
+            // The scheduler grew the reservation by exactly this
+            // step's token before committing the plan.
+            LIA_ASSERT(sameBytes(seq.cache->bf16Bytes(),
+                                 request.kvReservedBytes),
+                       "decode: cache ", seq.cache->bf16Bytes(),
+                       " bytes vs reservation ",
+                       request.kvReservedBytes);
+        } else {
+            LIA_ASSERT(seq.cache->bf16Bytes() <=
+                           request.kvReservedBytes + 0.5,
+                       "cache grew past the full-horizon reservation");
         }
     }
 
@@ -667,12 +669,16 @@ std::vector<std::int64_t>
 RuntimeBackend::referenceOutputs(const Request &request)
 {
     runtime::KvCache cache(model_, 1, request.lIn + request.lOut);
+    runtime::ForwardFeed feed{&cache, prompt(request),
+                              model::Stage::Prefill};
     std::vector<std::int64_t> generated;
-    generated.push_back(executor_.prefillChunk(cache, prompt(request)));
-    while (static_cast<std::int64_t>(generated.size()) < request.lOut)
-        generated.push_back(
-            executor_.decodeOne(cache, generated.back()));
-    return generated;
+    for (;;) {
+        generated.push_back(executor_.forward({&feed, 1}).front());
+        if (static_cast<std::int64_t>(generated.size()) == request.lOut)
+            return generated;
+        feed.tokens = {generated.back()};
+        feed.stage = model::Stage::Decode;
+    }
 }
 
 } // namespace serve

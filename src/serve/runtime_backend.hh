@@ -5,9 +5,12 @@
  *
  * The backend keeps one single-sequence runtime::KvCache per admitted
  * request and drives runtime::CooperativeExecutor through exactly the
- * work the plan lists: chunked prefill passes (fresh and recompute),
- * per-request decode steps, evict-and-recompute, and swap-to-CXL
- * parking via KvCache::evict()/restore(). Prompts are synthesized
+ * work the plan lists: evict-and-recompute and swap-to-CXL parking
+ * via KvCache::evict()/restore(), then one forward pass per plan over
+ * every prefill chunk (fresh and recompute) and plain decode step it
+ * lists, each sequence feeding its own tokens against its own cache.
+ * Speculative steps run earlier, one verify pass per request in
+ * speculate(). Prompts are synthesized
  * deterministically from the request id, so the same served workload
  * always decodes the same greedy token streams.
  *
@@ -54,9 +57,9 @@ class RuntimeBackend : public ExecutionBackend
     /** Work actually executed, for harness cross-checks. */
     struct Counters
     {
-        std::uint64_t prefillChunks = 0;   //!< chunk forwards run
+        std::uint64_t prefillChunks = 0;   //!< prefill chunks run
         std::uint64_t passCompletions = 0; //!< prefill passes finished
-        std::uint64_t decodeSteps = 0;     //!< decode forwards run
+        std::uint64_t decodeSteps = 0;     //!< plain decode steps run
         std::uint64_t evictions = 0;       //!< caches discarded
         std::uint64_t swapOuts = 0;        //!< caches parked in CXL
         std::uint64_t swapIns = 0;         //!< caches restored
@@ -161,8 +164,8 @@ class RuntimeBackend : public ExecutionBackend
     /** Per-request runtime state. */
     struct Sequence
     {
-        /** Shared with the pass staging maps until the pass's
-         *  prompt KV is inserted into the prefix tree. */
+        /** Shared with passes_ until the pass's prompt KV is
+         *  inserted into the prefix tree. */
         std::shared_ptr<runtime::KvCache> cache;
         std::vector<std::int64_t> prompt;
         std::vector<std::int64_t> outputs;
@@ -235,22 +238,20 @@ class RuntimeBackend : public ExecutionBackend
     std::map<std::uint64_t, NodePayload> nodes_;
 
     /**
-     * Caches of completed passes, keyed by request id. A pass
-     * completing during plan N stages into fresh...; at the start of
-     * onPlan(N+1) the fresh map rotates to staged..., where that
-     * plan's Insert ops (the engine flushes tree inserts exactly one
-     * iteration after the pass) source their spans and digests. The
-     * sequence's own cache is staged, not a copy: until then nothing
-     * writes its prompt positions (decode and speculative verify only
-     * append past them, and swap-out or eviction come after the
-     * inserts in onPlan), and a sequence finishing in between leaves
-     * its cache alive in the map. The staged map is dropped as soon
-     * as that plan's ops are applied.
+     * Caches of the prefill passes the last executed plan completed,
+     * keyed by request id: the engine flushes a pass into the radix
+     * tree one iteration after it completes, so the next plan's
+     * Insert ops source their spans and digests here. onPlan reads
+     * the map in applyPrefixOps, clears it, then refills it with its
+     * own completions. A plan carrying an Insert is never idle, so
+     * onPlan always sees it. The sequence's own cache is staged, not
+     * a copy: until the insert nothing writes its prompt positions
+     * (decode and speculative verify only append past them, and
+     * swap-out or eviction come after the inserts in onPlan), and a
+     * sequence finishing in between leaves its cache alive here.
      */
     std::map<std::uint64_t, std::shared_ptr<const runtime::KvCache>>
-        stagedPasses_;
-    std::map<std::uint64_t, std::shared_ptr<const runtime::KvCache>>
-        freshPasses_;
+        passes_;
 
     double ddrBytes_ = 0;
     double swapBytes_ = 0;

@@ -36,6 +36,17 @@ class RuntimeVsModelTest
             sys, runtime::TransformerWeights::random(m, rng), cfg);
     }
 
+    /** Prefill same-length prompts into @p cache: one forward pass. */
+    std::vector<std::int64_t>
+    prefill(runtime::CooperativeExecutor &exec, runtime::KvCache &cache,
+            std::int64_t len)
+    {
+        runtime::ForwardFeed feed{&cache, {}, model::Stage::Prefill};
+        for (const auto &p : prompts(cache.batch(), len))
+            feed.tokens.insert(feed.tokens.end(), p.begin(), p.end());
+        return exec.forward({&feed, 1});
+    }
+
     std::vector<std::vector<std::int64_t>>
     prompts(std::int64_t batch, std::int64_t len)
     {
@@ -55,7 +66,7 @@ TEST_P(RuntimeVsModelTest, PrefillBytesMatchAnalyticalModel)
     const Policy policy = Policy::fromMask(GetParam());
     auto exec = makeExecutor(policy);
     const std::int64_t batch = 2, l_in = 8;
-    exec.prefill(prompts(batch, l_in));
+    exec.generate(prompts(batch, l_in), 1);
 
     core::CostModel cm(sys, m, {});
     const auto timing = cm.layerTiming(
@@ -78,9 +89,10 @@ TEST_P(RuntimeVsModelTest, DecodeBytesMatchAnalyticalModel)
     const Policy policy = Policy::fromMask(GetParam());
     auto exec = makeExecutor(policy);
     const std::int64_t batch = 2, l_in = 8;
-    const auto next = exec.prefill(prompts(batch, l_in));
+    runtime::KvCache cache(m, batch, 32);
+    const runtime::ForwardFeed feed{&cache, prefill(exec, cache, l_in)};
     exec.resetStats();
-    exec.decodeStep(next);
+    exec.forward({&feed, 1});
 
     core::CostModel cm(sys, m, {});
     const auto timing = cm.layerTiming(
@@ -101,7 +113,7 @@ TEST_P(RuntimeVsModelTest, BusyTimesMatchComputeModel)
     const Policy policy = Policy::fromMask(GetParam());
     auto exec = makeExecutor(policy);
     const std::int64_t batch = 2, l_in = 8;
-    exec.prefill(prompts(batch, l_in));
+    exec.generate(prompts(batch, l_in), 1);
 
     core::CostModel cm(sys, m, {});
     core::CostModelOptions serial_opts;
@@ -141,9 +153,9 @@ TEST_F(RuntimeVsModelTest, ResidencyInterpolatesBetweenExtremes)
     auto streamed = makeExecutor(Policy::fullGpu(), 0);
     auto half = makeExecutor(Policy::fullGpu(), 2);
     auto full = makeExecutor(Policy::fullGpu(), 4);
-    streamed.prefill(prompts(2, 8));
-    half.prefill(prompts(2, 8));
-    full.prefill(prompts(2, 8));
+    streamed.generate(prompts(2, 8), 1);
+    half.generate(prompts(2, 8), 1);
+    full.generate(prompts(2, 8), 1);
     const double s = streamed.ledger().bytes(runtime::Traffic::Param);
     const double h = half.ledger().bytes(runtime::Traffic::Param);
     const double f = full.ledger().bytes(runtime::Traffic::Param);

@@ -98,7 +98,8 @@ struct Scenario
         for (std::int64_t b = 0; b < batch; ++b) {
             const auto i = static_cast<std::size_t>(b);
             out.push_back({k[i].data(), v[i].data(),
-                           history[i] + tokens, kvHeads * headDim});
+                           history[i] + tokens, kvHeads * headDim,
+                           tokens});
         }
         return out;
     }
@@ -170,15 +171,15 @@ randomScenario(std::mt19937_64 &gen, Rng &rng)
 Tensor
 runFused(const Scenario &s, const KernelOptions &opts)
 {
-    return attention(s.q, s.views(), s.tokens, s.heads, s.kvHeads,
-                     s.headDim, opts);
+    return attention(s.q, s.views(), s.heads, s.kvHeads, s.headDim,
+                     opts);
 }
 
 Tensor
 runReference(const Scenario &s)
 {
-    return scalarAttention(s.q, s.views(), s.tokens, s.heads, s.kvHeads,
-                           s.headDim, KernelOptions{s.round, nullptr});
+    return scalarAttention(s.q, s.views(), s.heads, s.kvHeads, s.headDim,
+                           KernelOptions{s.round, nullptr});
 }
 
 TEST(AttentionProperty, FusedMatchesScalarReferenceBitForBit)
@@ -229,8 +230,8 @@ TEST(AttentionProperty, MaskedNonFiniteValuesPropagateAsInTheReference)
         EXPECT_TRUE(bitIdentical(runFused(s, opts), ref));
         for (const KernelTier *tier : tiers)
             EXPECT_TRUE(bitIdentical(
-                tier->attention(s.q, s.views(), s.tokens, s.heads,
-                                s.kvHeads, s.headDim, opts),
+                tier->attention(s.q, s.views(), s.heads, s.kvHeads,
+                                s.headDim, opts),
                 ref))
                 << tier->name << " at " << pool->threadCount()
                 << " threads";
@@ -254,8 +255,9 @@ TEST(AttentionProperty, ReadsTheCacheInPlaceMidStep)
     const std::int64_t tokens = 3;
     cache.append(0, randomKv(tokens), randomKv(tokens));
 
-    const std::vector<KvLayerView> views{cache.view(0, 0),
-                                         cache.view(0, 1)};
+    std::vector<KvLayerView> views{cache.view(0, 0), cache.view(0, 1)};
+    for (KvLayerView &view : views)
+        view.queries = tokens;
     ASSERT_EQ(views[0].length, 14);
     ASSERT_EQ(views[1].length, 14);
     const Tensor q =
@@ -264,14 +266,13 @@ TEST(AttentionProperty, ReadsTheCacheInPlaceMidStep)
     const Tensor values = cache.values(0);
     const std::int64_t row = 14 * m.kvDim();
     const std::vector<KvLayerView> copies{
-        {keys.data(), values.data(), 14, m.kvDim()},
-        {keys.data() + row, values.data() + row, 14, m.kvDim()}};
-    const Tensor ref =
-        scalarAttention(q, copies, tokens, m.numHeads, m.kvHeads,
-                        m.headDim, KernelOptions{});
+        {keys.data(), values.data(), 14, m.kvDim(), tokens},
+        {keys.data() + row, values.data() + row, 14, m.kvDim(), tokens}};
+    const Tensor ref = scalarAttention(q, copies, m.numHeads, m.kvHeads,
+                                       m.headDim, KernelOptions{});
     for (const auto &pool : contractPools())
         EXPECT_TRUE(bitIdentical(
-            attention(q, views, tokens, m.numHeads, m.kvHeads, m.headDim,
+            attention(q, views, m.numHeads, m.kvHeads, m.headDim,
                       KernelOptions{true, pool.get()}),
             ref));
 }
@@ -295,16 +296,16 @@ TEST(AttentionProperty, RaggedRowsMatchOneRowAtATime)
     const std::int64_t d = s.heads * s.headDim;
     for (const auto &pool : contractPools()) {
         const KernelOptions opts{true, pool.get()};
-        const Tensor batched = attention(s.q, views, 1, s.heads,
-                                         s.kvHeads, s.headDim, opts);
+        const Tensor batched =
+            attention(s.q, views, s.heads, s.kvHeads, s.headDim, opts);
         ASSERT_TRUE(bitIdentical(batched, runReference(s)));
         for (std::int64_t b = 0; b < s.batch; ++b) {
             Tensor qb({1, d});
             std::memcpy(qb.data(), s.q.data() + b * d,
                         sizeof(float) * static_cast<std::size_t>(d));
             const Tensor alone = attention(
-                qb, std::span<const KvLayerView>(&views[b], 1), 1,
-                s.heads, s.kvHeads, s.headDim, opts);
+                qb, std::span<const KvLayerView>(&views[b], 1), s.heads,
+                s.kvHeads, s.headDim, opts);
             EXPECT_EQ(std::memcmp(alone.data(), batched.data() + b * d,
                                   sizeof(float) *
                                       static_cast<std::size_t>(d)),
@@ -328,23 +329,31 @@ TEST(AttentionProperty, ShapeMismatchPanics)
     s.fill(rng);
     detail::setThrowOnError(true);
     // Query width disagrees with heads * headDim.
-    EXPECT_THROW(attention(s.q, s.views(), s.tokens, 2, s.kvHeads,
-                           s.headDim),
+    EXPECT_THROW(attention(s.q, s.views(), 2, s.kvHeads, s.headDim),
                  std::logic_error);
     // More step tokens than one row's view holds.
     std::vector<KvLayerView> shortViews = s.views();
     shortViews[1].length = 1;
-    EXPECT_THROW(attention(s.q, shortViews, s.tokens, s.heads,
-                           s.kvHeads, s.headDim),
+    EXPECT_THROW(attention(s.q, shortViews, s.heads, s.kvHeads,
+                           s.headDim),
                  std::logic_error);
-    // Query rows disagree with the number of views.
+    // Query rows disagree with the views' query counts: one view too
+    // few, one query too many, and a view with no queries.
     const std::vector<KvLayerView> views = s.views();
     EXPECT_THROW(attention(s.q, std::span<const KvLayerView>(views.data(), 1),
-                           s.tokens, s.heads, s.kvHeads, s.headDim),
+                           s.heads, s.kvHeads, s.headDim),
+                 std::logic_error);
+    std::vector<KvLayerView> wide = s.views();
+    wide[0].queries = 3;
+    EXPECT_THROW(attention(s.q, wide, s.heads, s.kvHeads, s.headDim),
+                 std::logic_error);
+    std::vector<KvLayerView> idle = s.views();
+    idle[0].queries = 0;
+    idle[1].queries = 4;
+    EXPECT_THROW(attention(s.q, idle, s.heads, s.kvHeads, s.headDim),
                  std::logic_error);
     // Heads not a multiple of the KV heads.
-    EXPECT_THROW(scalarAttention(s.q, s.views(), s.tokens, s.heads, 3,
-                                 s.headDim),
+    EXPECT_THROW(scalarAttention(s.q, s.views(), s.heads, 3, s.headDim),
                  std::logic_error);
     detail::setThrowOnError(false);
 }

@@ -1,17 +1,20 @@
 /**
  * @file
- * Property suite for the batched decode pass (DESIGN.md §6).
+ * Property suite for the ragged forward pass (DESIGN.md §6).
  *
- * CooperativeExecutor::decodeBatch runs one forward pass over B
- * sequences — one m = B call per projection, LayerNorm and the LM
- * head, one KV append per row, attention over one view per row. It
- * must be indistinguishable from B sequential decodeOne calls: the
+ * CooperativeExecutor::forward runs one pass over many caches, each
+ * feeding its own rows × T tokens — one m = Σ rows·T call per
+ * projection, LayerNorm and the LM head, one KV append per cache,
+ * attention over one view per row with its own query count. It must
+ * be indistinguishable from one single-feed forward per feed: the
  * same tokens, bit-identical KV caches, and the same transfer-ledger
- * bytes and modelled time. Random scenarios cover fp32 and int8
- * weights, OPT and GQA Llama (kvHeads < heads) models, B from 1 to 8,
- * ragged contexts (every sequence its own prompt length), caches that
- * start from a prefix span attached with preload(), changing subsets
- * of sequences from step to step, and pools of 1, 2 and 4 threads.
+ * bytes and modelled time. Random scenarios mix, in one pass, decode
+ * steps, prefill chunks on caches with history (some of it attached
+ * from a prefix span with preload()), multi-token Decode feeds shaped
+ * like a speculative verify (every position sampled) and batch-2
+ * caches, over fp32 and int8 weights, OPT and GQA Llama
+ * (kvHeads < heads) models, changing subsets of caches from step to
+ * step, and pools of 1, 2 and 4 threads.
  *
  * Scenario count scales with LIA_PROPERTY_SCENARIOS like the other
  * property suites.
@@ -121,6 +124,15 @@ struct Charges
     }
 };
 
+/** One cache of a scenario, in a sequential and a batched copy. */
+struct Unit
+{
+    enum class Kind { Decode, Chunked, Verify, Pair } kind = Kind::Decode;
+    std::unique_ptr<KvCache> seq, bat;
+    std::vector<std::int64_t> pending;  //!< prompt tokens left (Chunked)
+    std::vector<std::int64_t> last;     //!< last token of each row
+};
+
 TEST(DecodeBatchProperty, MatchesSequentialDecodeOneBitForBit)
 {
     const std::vector<Variant> all = variants();
@@ -138,109 +150,181 @@ TEST(DecodeBatchProperty, MatchesSequentialDecodeOneBitForBit)
         ExecutorConfig cfg;
         cfg.weightPrecision = variant.precision;
         cfg.pool = pool(threads);
-        // Some layers offloaded so the ledger records traffic.
+        // Some layers offloaded so the ledger records traffic, under
+        // different plans for the prefill and the decode feeds.
+        cfg.prefillPolicy = core::Policy::fromMask(
+            static_cast<unsigned>(pick(0, 63)));
         cfg.decodePolicy = core::Policy::fromMask(
             static_cast<unsigned>(pick(0, 63)));
         cfg.residentLayers = static_cast<int>(pick(0, 1));
         Rng rng(static_cast<std::uint64_t>(500 + it));
         CooperativeExecutor exec(hw::sprA100(),
                                  TransformerWeights::random(m, rng), cfg);
-
-        const auto batch = static_cast<std::size_t>(pick(1, 8));
-        const std::int64_t steps = pick(1, 6);
         const auto token = [&] { return pick(0, m.vocabSize - 1); };
-        std::vector<std::unique_ptr<KvCache>> seq, bat;
-        std::vector<std::int64_t> last;
-        for (std::size_t b = 0; b < batch; ++b) {
+        const auto tokens = [&](std::int64_t n) {
+            std::vector<std::int64_t> out;
+            for (std::int64_t t = 0; t < n; ++t)
+                out.push_back(token());
+            return out;
+        };
+        // One single-feed pass on each copy of a unit; both must agree.
+        const auto both = [&](Unit &u, std::vector<std::int64_t> feed,
+                              model::Stage stage) {
+            const ForwardFeed a{u.seq.get(), feed, stage};
+            const ForwardFeed b{u.bat.get(), std::move(feed), stage};
+            const std::vector<std::int64_t> got = exec.forward({&a, 1});
+            EXPECT_EQ(exec.forward({&b, 1}), got);
+            return got;
+        };
+
+        std::vector<Unit> units(static_cast<std::size_t>(pick(1, 8)));
+        for (Unit &u : units) {
+            u.kind = static_cast<Unit::Kind>(pick(0, 3));
+            const std::int64_t rows = u.kind == Unit::Kind::Pair ? 2 : 1;
+            u.seq = std::make_unique<KvCache>(m, rows, m.maxSeqLen);
+            u.bat = std::make_unique<KvCache>(m, rows, m.maxSeqLen);
             const std::int64_t len = pick(1, 40);
-            std::vector<std::int64_t> prompt;
-            for (std::int64_t t = 0; t < len; ++t)
-                prompt.push_back(token());
-            seq.push_back(std::make_unique<KvCache>(m, 1, m.maxSeqLen));
-            bat.push_back(std::make_unique<KvCache>(m, 1, m.maxSeqLen));
-            std::int64_t attached = 0;
-            if (len > 1 && pick(0, 2) == 0) {
+            std::vector<std::int64_t> prompt = tokens(rows * len);
+            if (rows == 1 && len > 1 && pick(0, 2) == 0) {
                 // Start both copies from a shared prefix span, as a
                 // prefix-cache hit does.
-                attached = pick(1, len - 1);
+                const std::int64_t attached = pick(1, len - 1);
                 KvCache donor(m, 1, m.maxSeqLen);
-                exec.prefillChunk(donor, {prompt.begin(),
-                                          prompt.begin() + attached});
+                const ForwardFeed feed{
+                    &donor, {prompt.begin(), prompt.begin() + attached},
+                    model::Stage::Prefill};
+                exec.forward({&feed, 1});
                 const KvSpan span = donor.snapshotRange(0, attached);
-                ASSERT_TRUE(seq.back()->preload(span));
-                ASSERT_TRUE(bat.back()->preload(span));
+                ASSERT_TRUE(u.seq->preload(span));
+                ASSERT_TRUE(u.bat->preload(span));
+                prompt.erase(prompt.begin(), prompt.begin() + attached);
             }
-            const std::vector<std::int64_t> rest(
-                prompt.begin() + attached, prompt.end());
-            const std::int64_t first = exec.prefillChunk(*seq.back(), rest);
-            ASSERT_EQ(exec.prefillChunk(*bat.back(), rest), first);
-            last.push_back(first);
+            if (u.kind == Unit::Kind::Chunked) {
+                // Prefill part of the prompt now, chunk the rest into
+                // the mixed passes; an attached prefix already counts
+                // as history.
+                const auto size = static_cast<std::int64_t>(prompt.size());
+                const std::int64_t now =
+                    u.seq->length() > 0 ? pick(0, size - 1)
+                                        : pick(1, size);
+                u.pending.assign(prompt.begin() + now, prompt.end());
+                prompt.resize(static_cast<std::size_t>(now));
+                if (prompt.empty())
+                    continue;
+            }
+            u.last = both(u, prompt, model::Stage::Prefill);
         }
 
+        const std::int64_t steps = pick(1, 6);
         for (std::int64_t step = 0; step < steps; ++step) {
-            // A changing subset of the sequences decodes each step,
-            // as requests join and leave the batch.
-            std::vector<std::size_t> rows;
-            for (std::size_t b = 0; b < batch; ++b)
-                if (batch == 1 || pick(0, 3) != 0)
-                    rows.push_back(b);
-            if (rows.empty())
-                rows.push_back(0);
+            // A changing subset of the caches feeds each step, as
+            // requests join and leave the batch.
+            std::vector<std::size_t> active;
+            for (std::size_t u = 0; u < units.size(); ++u)
+                if (units.size() == 1 || pick(0, 3) != 0)
+                    active.push_back(u);
+            if (active.empty())
+                active.push_back(0);
+
+            std::vector<ForwardFeed> seq_feeds, bat_feeds;
+            for (std::size_t u : active) {
+                Unit &unit = units[u];
+                ForwardFeed feed{nullptr, unit.last, model::Stage::Decode};
+                if (!unit.pending.empty()) {
+                    const auto chunk = static_cast<std::ptrdiff_t>(pick(
+                        1, static_cast<std::int64_t>(unit.pending.size())));
+                    feed.tokens.assign(unit.pending.begin(),
+                                       unit.pending.begin() + chunk);
+                    feed.stage = model::Stage::Prefill;
+                    unit.pending.erase(unit.pending.begin(),
+                                       unit.pending.begin() + chunk);
+                } else if (unit.kind == Unit::Kind::Verify) {
+                    // The last token plus k drafts, every position
+                    // sampled.
+                    const std::vector<std::int64_t> drafts =
+                        tokens(pick(1, 4));
+                    feed.tokens.insert(feed.tokens.end(), drafts.begin(),
+                                       drafts.end());
+                    feed.sampleEvery = true;
+                }
+                feed.cache = unit.seq.get();
+                seq_feeds.push_back(feed);
+                feed.cache = unit.bat.get();
+                bat_feeds.push_back(std::move(feed));
+            }
 
             exec.resetStats();
             std::vector<std::int64_t> want;
-            for (std::size_t b : rows)
-                want.push_back(exec.decodeOne(*seq[b], last[b]));
+            for (const ForwardFeed &feed : seq_feeds) {
+                const std::vector<std::int64_t> got =
+                    exec.forward({&feed, 1});
+                want.insert(want.end(), got.begin(), got.end());
+            }
             const Charges sequential(exec);
 
             exec.resetStats();
-            std::vector<KvCache *> caches;
-            std::vector<std::int64_t> feed;
-            for (std::size_t b : rows) {
-                caches.push_back(bat[b].get());
-                feed.push_back(last[b]);
-            }
-            const std::vector<std::int64_t> got =
-                exec.decodeBatch(caches, feed);
-            const std::string where =
-                "scenario " + std::to_string(it) + " (" + variant.name +
-                ", B " + std::to_string(rows.size()) + " of " +
-                std::to_string(batch) + ", step " + std::to_string(step) +
-                ", " + std::to_string(threads) + " threads)";
+            const std::vector<std::int64_t> got = exec.forward(bat_feeds);
+            std::string where = "scenario " + std::to_string(it) + " (" +
+                                variant.name + ", step " +
+                                std::to_string(step) + ", " +
+                                std::to_string(threads) + " threads, feeds";
+            for (const ForwardFeed &feed : bat_feeds)
+                where += " " + std::to_string(feed.cache->batch()) + "x" +
+                         std::to_string(static_cast<std::int64_t>(
+                                            feed.tokens.size()) /
+                                        feed.cache->batch()) +
+                         (feed.stage == model::Stage::Prefill ? "p" : "d");
+            where += ")";
             ASSERT_EQ(got, want) << where;
             EXPECT_TRUE(Charges(exec) == sequential)
                 << where << ": ledger or modelled time differs";
-            for (std::size_t i = 0; i < rows.size(); ++i)
-                last[rows[i]] = got[i];
+
+            // Each cache decodes on from its final samples.
+            std::size_t at = 0;
+            for (std::size_t i = 0; i < active.size(); ++i) {
+                const ForwardFeed &feed = bat_feeds[i];
+                const std::int64_t rows = feed.cache->batch();
+                const auto per_row =
+                    static_cast<std::int64_t>(feed.tokens.size()) / rows;
+                const std::int64_t sampled =
+                    feed.sampleEvery ? per_row : 1;
+                std::vector<std::int64_t> &last = units[active[i]].last;
+                last.clear();
+                for (std::int64_t r = 0; r < rows; ++r) {
+                    at += static_cast<std::size_t>(sampled);
+                    last.push_back(got[at - 1]);
+                }
+            }
+            ASSERT_EQ(at, got.size()) << where;
         }
-        for (std::size_t b = 0; b < batch; ++b)
-            ASSERT_TRUE(sameKv(*seq[b], *bat[b], m.numLayers))
-                << "scenario " << it << " sequence " << b
+        for (std::size_t u = 0; u < units.size(); ++u)
+            ASSERT_TRUE(sameKv(*units[u].seq, *units[u].bat, m.numLayers))
+                << "scenario " << it << " cache " << u
                 << ": KV caches differ";
     }
 }
 
 TEST(DecodeBatchProperty, DecodeStepOfABatchCacheMatchesPerRowCaches)
 {
-    // A batch-B cache is B views of itself: decodeStep over one batch-2
-    // cache and decodeBatch over two batch-1 caches give the same
-    // tokens.
+    // A batch-B cache is B views of itself: passes over one batch-2
+    // cache and over two batch-1 caches give the same tokens.
     const model::ModelConfig m = model::tinyOpt();
     Rng rng(77);
     CooperativeExecutor exec(hw::sprA100(),
                              TransformerWeights::random(m, rng), {});
-    const std::vector<std::vector<std::int64_t>> prompts{
-        {3, 9, 27, 81, 5}, {2, 4, 8, 16, 32}};
-    std::vector<std::int64_t> next = exec.prefill(prompts);
-    KvCache a(m, 1, m.maxSeqLen), b(m, 1, m.maxSeqLen);
-    std::vector<std::int64_t> split{exec.prefillChunk(a, prompts[0]),
-                                    exec.prefillChunk(b, prompts[1])};
-    ASSERT_EQ(split, next);
-    KvCache *const caches[] = {&a, &b};
-    for (int step = 0; step < 5; ++step) {
-        next = exec.decodeStep(next);
-        split = exec.decodeBatch(caches, split);
-        ASSERT_EQ(split, next) << "step " << step;
+    const std::vector<std::int64_t> p0{3, 9, 27, 81, 5};
+    const std::vector<std::int64_t> p1{2, 4, 8, 16, 32};
+    KvCache pair(m, 2, m.maxSeqLen), a(m, 1, m.maxSeqLen),
+        b(m, 1, m.maxSeqLen);
+    std::vector<ForwardFeed> joint{{&pair, p0, model::Stage::Prefill}};
+    joint[0].tokens.insert(joint[0].tokens.end(), p1.begin(), p1.end());
+    std::vector<ForwardFeed> split{{&a, p0, model::Stage::Prefill},
+                                   {&b, p1, model::Stage::Prefill}};
+    for (int step = 0; step < 6; ++step) {
+        const std::vector<std::int64_t> next = exec.forward(joint);
+        ASSERT_EQ(exec.forward(split), next) << "step " << step;
+        joint[0] = {&pair, next};
+        split = {{&a, {next[0]}}, {&b, {next[1]}}};
     }
 }
 

@@ -45,7 +45,30 @@ class ExecutorTest : public ::testing::Test
         }
         return out;
     }
+
+    /** Prefill @p batch_prompts into a batch cache: one forward pass. */
+    static std::vector<std::int64_t>
+    prefill(CooperativeExecutor &exec, KvCache &cache,
+            const std::vector<std::vector<std::int64_t>> &batch_prompts)
+    {
+        ForwardFeed feed{&cache, {}, model::Stage::Prefill};
+        for (const auto &p : batch_prompts)
+            feed.tokens.insert(feed.tokens.end(), p.begin(), p.end());
+        return exec.forward({&feed, 1});
+    }
+
+    /** One single-feed forward pass of one sequence. */
+    static std::int64_t
+    step(CooperativeExecutor &exec, KvCache &cache,
+         std::vector<std::int64_t> tokens,
+         model::Stage stage = model::Stage::Decode)
+    {
+        const ForwardFeed feed{&cache, std::move(tokens), stage};
+        return exec.forward({&feed, 1}).front();
+    }
 };
+
+constexpr model::Stage kPrefill = model::Stage::Prefill;
 
 TEST_F(ExecutorTest, GeneratesRequestedTokenCount)
 {
@@ -96,7 +119,7 @@ TEST_F(ExecutorTest, DifferentSeedsChangeOutputs)
     EXPECT_NE(a.generate(prompts(), 8), b.generate(prompts(), 8));
 }
 
-// --- Per-sequence serving entry points (chunked prefill / decode) ----
+// --- Forward passes over caller-owned caches ------------------------
 
 TEST_F(ExecutorTest, ChunkedPrefillIsBitIdenticalToMonolithic)
 {
@@ -104,16 +127,16 @@ TEST_F(ExecutorTest, ChunkedPrefillIsBitIdenticalToMonolithic)
     const auto prompt = prompts(1, 12)[0];
 
     KvCache whole(m, 1, 32);
-    const auto monolithic = exec.prefillChunk(whole, prompt);
+    const auto monolithic = step(exec, whole, prompt, kPrefill);
 
     // Uneven chunk boundaries; only the final chunk's sample counts.
     KvCache pieces(m, 1, 32);
     using Vec = std::vector<std::int64_t>;
-    exec.prefillChunk(pieces, Vec(prompt.begin(), prompt.begin() + 5));
-    exec.prefillChunk(pieces,
-                      Vec(prompt.begin() + 5, prompt.begin() + 6));
+    step(exec, pieces, Vec(prompt.begin(), prompt.begin() + 5), kPrefill);
+    step(exec, pieces, Vec(prompt.begin() + 5, prompt.begin() + 6),
+         kPrefill);
     const auto chunked =
-        exec.prefillChunk(pieces, Vec(prompt.begin() + 6, prompt.end()));
+        step(exec, pieces, Vec(prompt.begin() + 6, prompt.end()), kPrefill);
 
     EXPECT_EQ(chunked, monolithic);
     EXPECT_EQ(pieces.length(), whole.length());
@@ -122,8 +145,8 @@ TEST_F(ExecutorTest, ChunkedPrefillIsBitIdenticalToMonolithic)
     // The continuations stay identical too.
     auto a = monolithic, b = chunked;
     for (int i = 0; i < 6; ++i) {
-        a = exec.decodeOne(whole, a);
-        b = exec.decodeOne(pieces, b);
+        a = step(exec, whole, {a});
+        b = step(exec, pieces, {b});
         EXPECT_EQ(b, a) << "diverged at continuation step " << i;
     }
 }
@@ -137,9 +160,9 @@ TEST_F(ExecutorTest, PerSequencePathMatchesTheBatchApi)
 
     KvCache cache(m, 1, 32);
     std::vector<std::int64_t> got;
-    got.push_back(seq_exec.prefillChunk(cache, prompt));
+    got.push_back(step(seq_exec, cache, prompt, kPrefill));
     while (got.size() < expected.size())
-        got.push_back(seq_exec.decodeOne(cache, got.back()));
+        got.push_back(step(seq_exec, cache, {got.back()}));
     EXPECT_EQ(got, expected);
 }
 
@@ -151,10 +174,9 @@ TEST_F(ExecutorTest, EvictAndRecomputeReproducesTheGeneration)
     // Uninterrupted reference generation.
     KvCache straight(m, 1, 32);
     std::vector<std::int64_t> reference;
-    reference.push_back(exec.prefillChunk(straight, prompt));
+    reference.push_back(step(exec, straight, prompt, kPrefill));
     for (int i = 0; i < 5; ++i)
-        reference.push_back(
-            exec.decodeOne(straight, reference.back()));
+        reference.push_back(step(exec, straight, {reference.back()}));
 
     // Same sequence, evicted after three tokens: replaying prompt +
     // generated tokens rebuilds the KV bit-identically, the recompute
@@ -162,9 +184,9 @@ TEST_F(ExecutorTest, EvictAndRecomputeReproducesTheGeneration)
     // proceeds as if nothing happened.
     KvCache cache(m, 1, 32);
     std::vector<std::int64_t> out;
-    out.push_back(exec.prefillChunk(cache, prompt));
-    out.push_back(exec.decodeOne(cache, out.back()));
-    out.push_back(exec.decodeOne(cache, out.back()));
+    out.push_back(step(exec, cache, prompt, kPrefill));
+    out.push_back(step(exec, cache, {out.back()}));
+    out.push_back(step(exec, cache, {out.back()}));
 
     const auto parkedDigest = cache.fingerprint();
     const auto parkedLength = cache.length();
@@ -172,11 +194,11 @@ TEST_F(ExecutorTest, EvictAndRecomputeReproducesTheGeneration)
 
     std::vector<std::int64_t> replay = prompt;
     replay.insert(replay.end(), out.begin(), out.end());
-    out.push_back(exec.prefillChunk(cache, replay));
+    out.push_back(step(exec, cache, replay, kPrefill));
     EXPECT_EQ(cache.fingerprint(parkedLength), parkedDigest);
 
     while (out.size() < reference.size())
-        out.push_back(exec.decodeOne(cache, out.back()));
+        out.push_back(step(exec, cache, {out.back()}));
     EXPECT_EQ(out, reference);
 }
 
@@ -197,7 +219,7 @@ TEST_F(ExecutorTest, GpuPlanTrafficMatchesAnalyticalModel)
     CooperativeExecutor exec(sys, weights(), plan);
 
     const std::int64_t b = 2, l_in = 8;
-    exec.prefill(prompts(b, l_in));
+    exec.generate(prompts(b, l_in), 1);
 
     // Expected: per layer, all four parameter operands stream (Eq. 5)
     // plus the Eq. 9 KV store-back; activations never hop.
@@ -223,9 +245,10 @@ TEST_F(ExecutorTest, DecodeStepStreamsKvCache)
     plan.prefillPolicy = Policy::fullGpu();
     plan.decodePolicy = Policy::fullGpu();
     CooperativeExecutor exec(sys, weights(), plan);
-    const auto next = exec.prefill(prompts(2, 8));
+    KvCache cache(m, 2, 32);
+    const ForwardFeed feed{&cache, prefill(exec, cache, prompts(2, 8))};
     exec.resetStats();
-    exec.decodeStep(next);
+    exec.forward({&feed, 1});
 
     // Context after the decode append is 9 tokens.
     model::Workload w{model::Stage::Decode, 2, 9};
@@ -248,8 +271,8 @@ TEST_F(ExecutorTest, ResidentLayersReduceParamTraffic)
 
     CooperativeExecutor a(sys, weights(), stream);
     CooperativeExecutor b(sys, weights(), resident);
-    a.prefill(prompts());
-    b.prefill(prompts());
+    a.generate(prompts(), 1);
+    b.generate(prompts(), 1);
     EXPECT_NEAR(b.ledger().bytes(Traffic::Param),
                 0.5 * a.ledger().bytes(Traffic::Param), 1.0);
     EXPECT_GT(b.gpuDevice().allocatedBytes(), 0.0);
@@ -261,7 +284,7 @@ TEST_F(ExecutorTest, MixedPolicyChargesActivationHops)
     plan.prefillPolicy = Policy::attentionOnCpu();
     plan.decodePolicy = Policy::attentionOnCpu();
     CooperativeExecutor exec(sys, weights(), plan);
-    exec.prefill(prompts());
+    exec.generate(prompts(), 1);
     EXPECT_GT(exec.ledger().bytes(Traffic::Activation), 0.0);
     EXPECT_GT(exec.cpuDevice().busyTime(), 0.0);
     EXPECT_GT(exec.gpuDevice().busyTime(), 0.0);
@@ -288,7 +311,7 @@ TEST_F(ExecutorTest, ResetStatsClearsCounters)
     plan.prefillPolicy = Policy::fullGpu();
     plan.decodePolicy = Policy::fullGpu();
     CooperativeExecutor exec(sys, weights(), plan);
-    exec.prefill(prompts());
+    exec.generate(prompts(), 1);
     exec.resetStats();
     EXPECT_DOUBLE_EQ(exec.ledger().totalBytes(), 0.0);
     EXPECT_DOUBLE_EQ(exec.cpuDevice().busyTime(), 0.0);
@@ -300,15 +323,39 @@ TEST_F(ExecutorTest, PromptsMustShareLength)
     detail::setThrowOnError(true);
     CooperativeExecutor exec(sys, weights(), {});
     std::vector<std::vector<std::int64_t>> ragged{{1, 2, 3}, {1, 2}};
-    EXPECT_THROW(exec.prefill(ragged), std::logic_error);
+    EXPECT_THROW(exec.generate(ragged, 2), std::logic_error);
     detail::setThrowOnError(false);
 }
 
 TEST_F(ExecutorTest, DecodeBeforePrefillPanics)
 {
+    // forward()'s input checks, each on a pass that would otherwise
+    // run: a decode feed against an empty cache, no feeds, a token
+    // count that is not rows x T, an empty feed, a token id outside
+    // the vocabulary, positions past the context window, and two
+    // feeds sharing one cache. No check may leave a cache changed.
     detail::setThrowOnError(true);
     CooperativeExecutor exec(sys, weights(), {});
-    EXPECT_THROW(exec.decodeStep({1, 2}), std::logic_error);
+    KvCache empty(m, 1, 32), pair(m, 2, 32), a(m, 1, m.maxSeqLen);
+    step(exec, a, {1, 2, 3}, kPrefill);
+    using Feeds = std::vector<ForwardFeed>;
+    const auto rejects = [&](const Feeds &feeds) {
+        EXPECT_THROW(exec.forward(feeds), std::logic_error);
+    };
+    rejects({{&empty, {1}, model::Stage::Decode}});
+    rejects({});
+    rejects({{&pair, {1, 2, 3}, kPrefill}});
+    rejects({{&a, {}, model::Stage::Decode}});
+    rejects({{&a, {m.vocabSize}, model::Stage::Decode}});
+    rejects({{&a, {-1}, model::Stage::Decode}});
+    rejects({{&a, std::vector<std::int64_t>(
+                      static_cast<std::size_t>(m.maxSeqLen - 2), 1),
+              kPrefill}});
+    rejects({{&a, {1}, model::Stage::Decode},
+             {&a, {2}, model::Stage::Decode}});
+    EXPECT_EQ(empty.length(), 0);
+    EXPECT_EQ(pair.length(), 0);
+    EXPECT_EQ(a.length(), 3);
     detail::setThrowOnError(false);
 }
 
@@ -412,8 +459,8 @@ TEST(ExecutorInt8Test, ParamTrafficHalvesUnderInt8)
 
     const std::vector<std::vector<std::int64_t>> p = {
         {1, 2, 3, 4, 5, 6, 7, 8}};
-    bf16.prefill(p);
-    int8.prefill(p);
+    bf16.generate(p, 1);
+    int8.generate(p, 1);
     EXPECT_GT(int8.ledger().bytes(Traffic::Param), 0.0);
     EXPECT_DOUBLE_EQ(int8.ledger().bytes(Traffic::Param),
                      0.5 * bf16.ledger().bytes(Traffic::Param));

@@ -41,6 +41,17 @@ class GatedModelTest : public ::testing::Test
         }
         return out;
     }
+
+    /** Prefill @p batch_prompts into a batch cache: one forward pass. */
+    static std::vector<std::int64_t>
+    prefill(CooperativeExecutor &exec, KvCache &cache,
+            const std::vector<std::vector<std::int64_t>> &batch_prompts)
+    {
+        ForwardFeed feed{&cache, {}, model::Stage::Prefill};
+        for (const auto &p : batch_prompts)
+            feed.tokens.insert(feed.tokens.end(), p.begin(), p.end());
+        return exec.forward({&feed, 1});
+    }
 };
 
 TEST_F(GatedModelTest, ConfigUsesGqaAndGatedFfn)
@@ -87,9 +98,10 @@ TEST_F(GatedModelTest, PolicyInvarianceHoldsForGatedModels)
 TEST_F(GatedModelTest, KvCacheUsesGqaWidth)
 {
     CooperativeExecutor exec(sys, weights(), {});
-    exec.prefill(prompts(2, 8));
+    KvCache cache(m, 2, 32);
+    prefill(exec, cache, prompts(2, 8));
     // 2 tensors * B * len * kvDim * layers * 2 bytes.
-    EXPECT_DOUBLE_EQ(exec.cache().bf16Bytes(),
+    EXPECT_DOUBLE_EQ(cache.bf16Bytes(),
                      2.0 * 2 * 8 * m.kvDim() * m.numLayers * 2);
 }
 
@@ -99,9 +111,10 @@ TEST_F(GatedModelTest, GqaTransferAccountingMatchesModel)
     plan.prefillPolicy = Policy::fullGpu();
     plan.decodePolicy = Policy::fullGpu();
     CooperativeExecutor exec(sys, weights(), plan);
-    const auto next = exec.prefill(prompts(2, 8));
+    KvCache cache(m, 2, 32);
+    const ForwardFeed feed{&cache, prefill(exec, cache, prompts(2, 8))};
     exec.resetStats();
-    exec.decodeStep(next);
+    exec.forward({&feed, 1});
     core::CostModel cm(sys, m, {});
     const auto timing = cm.layerTiming(
         {model::Stage::Decode, 2, 9}, Policy::fullGpu());

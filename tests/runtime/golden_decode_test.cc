@@ -6,7 +6,7 @@
  * layer forwards, runtime::Sampler argmax — for fixed synthetic
  * weights (seed 1234) and fixed prompts. Any numeric drift anywhere in
  * the kernels, the BF16 rounding emulation, tie-breaking in the
- * sampler, or the per-sequence serving entry points changes these IDs
+ * sampler, or the single-sequence forward passes changes these IDs
  * and fails loudly. The expected streams were produced by this very
  * stack and are regression anchors, not external truth.
  */
@@ -70,8 +70,9 @@ TEST(GoldenDecodeTest, GreedyStreamMatchesTheCommittedTokens)
 
 TEST(GoldenDecodeTest, PerSequencePathReproducesTheGoldenStream)
 {
-    // The serving entry points (prefillChunk + decodeOne) must land on
-    // the same golden tokens as the batch API.
+    // Single-sequence forward passes on a caller-owned cache — a
+    // prefill pass, then one-token decode passes — must land on the
+    // same golden tokens as generate().
     auto exec = goldenExecutor();
     const auto prompts = goldenPrompts();
     const std::vector<const std::vector<std::int64_t> *> golden = {
@@ -79,10 +80,12 @@ TEST(GoldenDecodeTest, PerSequencePathReproducesTheGoldenStream)
 
     for (std::size_t s = 0; s < prompts.size(); ++s) {
         KvCache cache(model::tinyOpt(), 1, 64);
+        ForwardFeed feed{&cache, prompts[s], model::Stage::Prefill};
         std::vector<std::int64_t> got;
-        got.push_back(exec.prefillChunk(cache, prompts[s]));
-        while (got.size() < golden[s]->size())
-            got.push_back(exec.decodeOne(cache, got.back()));
+        while (got.size() < golden[s]->size()) {
+            got.push_back(exec.forward({&feed, 1}).front());
+            feed = {&cache, {got.back()}, model::Stage::Decode};
+        }
         EXPECT_EQ(got, *golden[s]) << "sequence " << s;
     }
 }

@@ -98,8 +98,8 @@ TEST(Int8GoldenDecodeTest, StreamIsIdenticalAcrossPoolSizes)
 
 TEST(Int8GoldenDecodeTest, PerSequencePathReproducesTheGoldenStream)
 {
-    // The serving entry points (prefillChunk + decodeOne) run the same
-    // int8 projections and must land on the same tokens.
+    // Single-sequence forward passes on a caller-owned cache run the
+    // same int8 projections and must land on the same tokens.
     auto exec = goldenExecutor();
     const auto prompts = goldenPrompts();
     const std::vector<const std::vector<std::int64_t> *> golden = {
@@ -107,10 +107,12 @@ TEST(Int8GoldenDecodeTest, PerSequencePathReproducesTheGoldenStream)
 
     for (std::size_t s = 0; s < prompts.size(); ++s) {
         KvCache cache(int8Model(), 1, 64);
+        ForwardFeed feed{&cache, prompts[s], model::Stage::Prefill};
         std::vector<std::int64_t> got;
-        got.push_back(exec.prefillChunk(cache, prompts[s]));
-        while (got.size() < golden[s]->size())
-            got.push_back(exec.decodeOne(cache, got.back()));
+        while (got.size() < golden[s]->size()) {
+            got.push_back(exec.forward({&feed, 1}).front());
+            feed = {&cache, {got.back()}, model::Stage::Decode};
+        }
         EXPECT_EQ(got, *golden[s]) << "sequence " << s;
     }
 }

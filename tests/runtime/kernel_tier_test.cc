@@ -13,8 +13,9 @@
  * partial final tiles, bias on and off, BF16 rounding on and off, and
  * pools of 1, 2 and 4 threads, with sizes large enough that the
  * work-sized dispatch splits some loops. Attention covers decode,
- * verify and prefill-chunk token counts, ragged per-row lengths
- * (under 16 keys, not a multiple of 16), head widths of 8 to 64,
+ * verify and prefill-chunk token counts, one per row or mixed in one
+ * call, ragged per-row lengths (under 16 keys, not a multiple of
+ * 16), head widths of 8 to 64,
  * grouped-query heads, BF16 rounding on and off, and non-finite keys,
  * queries and values.
  *
@@ -233,11 +234,20 @@ TEST_P(KernelTierProperty, QuantizerMatchesTheRuleCodeForCode)
 /** One attention call: queries and a K/V store per batch row. */
 struct AttentionCase
 {
-    std::int64_t tokens = 1, heads = 1, kvHeads = 1, headDim = 8;
+    std::int64_t heads = 1, kvHeads = 1, headDim = 8;
     bool round = true;
-    std::vector<std::int64_t> lengths;     //!< per row, tokens included
+    std::vector<std::int64_t> queries;     //!< per row: this step's tokens
+    std::vector<std::int64_t> lengths;     //!< per row, queries included
     Tensor q;
     std::vector<std::vector<float>> k, v;  //!< per row (length, kvDim)
+
+    /** Add a row of @p tokens queries over @p history earlier keys. */
+    void
+    row(std::int64_t tokens, std::int64_t history)
+    {
+        queries.push_back(tokens);
+        lengths.push_back(history + tokens);
+    }
 
     std::vector<KvLayerView>
     views() const
@@ -245,7 +255,7 @@ struct AttentionCase
         std::vector<KvLayerView> out;
         for (std::size_t b = 0; b < lengths.size(); ++b)
             out.push_back({k[b].data(), v[b].data(), lengths[b],
-                           kvHeads * headDim});
+                           kvHeads * headDim, queries[b]});
         return out;
     }
 
@@ -254,9 +264,10 @@ struct AttentionCase
     void
     fill(Rng &rng)
     {
-        const auto batch = static_cast<std::int64_t>(lengths.size());
-        q = Tensor::randomNormal({batch * tokens, heads * headDim}, rng,
-                                 1.0);
+        std::int64_t rows = 0;
+        for (const std::int64_t t : queries)
+            rows += t;
+        q = Tensor::randomNormal({rows, heads * headDim}, rng, 1.0);
         k.assign(lengths.size(), {});
         v.assign(lengths.size(), {});
         for (std::size_t b = 0; b < lengths.size(); ++b) {
@@ -274,14 +285,14 @@ struct AttentionCase
     std::string
     describe(const KernelTier &tier, int threads) const
     {
-        std::string out = "tier " + std::string(tier.name) + " tokens " +
-                          std::to_string(tokens) + " heads " +
+        std::string out = "tier " + std::string(tier.name) + " heads " +
                           std::to_string(heads) + "/" +
                           std::to_string(kvHeads) + "x" +
                           std::to_string(headDim) + " bf16 " +
-                          std::to_string(round) + " lengths";
-        for (const std::int64_t len : lengths)
-            out += " " + std::to_string(len);
+                          std::to_string(round) + " rows (queries/length)";
+        for (std::size_t b = 0; b < lengths.size(); ++b)
+            out += " " + std::to_string(queries[b]) + "/" +
+                   std::to_string(lengths[b]);
         return out + " threads " + std::to_string(threads);
     }
 };
@@ -292,13 +303,12 @@ expectAttentionMatches(const AttentionCase &c, const KernelTier &tier,
                        const std::string &what)
 {
     const std::vector<KvLayerView> views = c.views();
-    const Tensor ref =
-        scalarAttention(c.q, views, c.tokens, c.heads, c.kvHeads,
-                        c.headDim, KernelOptions{c.round});
+    const Tensor ref = scalarAttention(c.q, views, c.heads, c.kvHeads,
+                                       c.headDim, KernelOptions{c.round});
     for (const auto &pool : contractPools()) {
-        const Tensor got = tier.attention(
-            c.q, views, c.tokens, c.heads, c.kvHeads, c.headDim,
-            KernelOptions{c.round, pool.get()});
+        const Tensor got =
+            tier.attention(c.q, views, c.heads, c.kvHeads, c.headDim,
+                           KernelOptions{c.round, pool.get()});
         ASSERT_TRUE(bitIdentical(got, ref))
             << what << ": " << c.describe(tier, pool->threadCount());
     }
@@ -310,6 +320,8 @@ TEST_P(KernelTierProperty, AttentionMatchesScalarAttention)
     // (4, 5) and prefill chunks, some not a multiple of the 4-row S·V
     // block; head widths below, at and between whole 16-lane vectors.
     const std::int64_t tokens[] = {1, 2, 3, 4, 5, 37, 128, 130};
+    // The mix one forward pass puts in a single call.
+    const std::int64_t mixed[] = {1, 3, 4, 37, 128};
     const std::int64_t dims[] = {8, 24, 32, 40, 64};
     std::mt19937_64 gen(20261022);
     const auto pick = [&gen](std::int64_t lo, std::int64_t hi) {
@@ -318,24 +330,27 @@ TEST_P(KernelTierProperty, AttentionMatchesScalarAttention)
     for (std::size_t it = 0; it < scenarioCount(); ++it) {
         Rng rng(static_cast<std::uint64_t>(11000 + it));
         AttentionCase c;
-        c.tokens = tokens[it % 8];
+        // Every third scenario gives each row its own query count.
+        const bool ragged = it % 3 == 2;
+        const std::int64_t uniform = tokens[it % 8];
         c.headDim = dims[(it / 8) % 5];
         c.round = (it / 40) % 2 == 0;
         c.kvHeads = pick(1, 2);
         c.heads = c.kvHeads * pick(1, 3);  // GQA when the group is > 1
         // Ragged histories: none, under one 16-key block, and longer
         // ones that are mostly not a multiple of 16.
-        const std::int64_t batch = c.tokens > 64 ? pick(1, 2) : pick(1, 4);
+        const std::int64_t batch =
+            ragged ? pick(2, 5) : uniform > 64 ? pick(1, 2) : pick(1, 4);
         for (std::int64_t b = 0; b < batch; ++b) {
+            const std::int64_t t = ragged ? mixed[pick(0, 4)] : uniform;
             std::int64_t history = 0;
             switch (pick(0, 2)) {
-            case 0: history = pick(0, std::max<std::int64_t>(
-                                             0, 15 - c.tokens));
+            case 0: history = pick(0, std::max<std::int64_t>(0, 15 - t));
                 break;
             case 1: history = pick(0, 40); break;
-            default: history = pick(41, c.tokens > 64 ? 200 : 320); break;
+            default: history = pick(41, t > 64 ? 200 : 320); break;
             }
-            c.lengths.push_back(history + c.tokens);
+            c.row(t, history);
         }
         c.fill(rng);
         expectAttentionMatches(c, *tier, "scenario " + std::to_string(it));
@@ -346,25 +361,31 @@ TEST_P(KernelTierProperty, AttentionNonFiniteValuesMatchScalarAttention)
 {
     const float inf = std::numeric_limits<float>::infinity();
     const float nan = std::numeric_limits<float>::quiet_NaN();
-    for (const std::int64_t tokens : {1, 3, 4, 37}) {
+    // Uniform query counts, then rows of different counts in one call.
+    const std::vector<std::vector<std::int64_t>> shapes{
+        {1, 1}, {3, 3}, {4, 4}, {37, 37}, {1, 37}, {128, 4}, {3, 1}};
+    for (const std::vector<std::int64_t> &shape : shapes) {
         for (const std::int64_t headDim : {8, 32}) {
+            const std::int64_t t0 = shape[0], t1 = shape[1];
             AttentionCase c;
-            c.tokens = tokens;
             c.heads = 2;
             c.kvHeads = 1;
             c.headDim = headDim;
-            c.lengths = {tokens + 40, tokens + 3};
+            c.row(t0, 40);
+            c.row(t1, 3);
             const auto at = [&](std::int64_t key, std::int64_t col) {
                 return static_cast<std::size_t>(key * headDim + col);
             };
             const auto run = [&](const std::string &what,
                                  const auto &poison) {
-                Rng rng(static_cast<std::uint64_t>(tokens * 100 + headDim));
+                Rng rng(static_cast<std::uint64_t>(t0 * 1000 + t1 * 100 +
+                                                   headDim));
                 c.fill(rng);
                 poison();
                 expectAttentionMatches(c, *tier,
-                                       what + " at tokens " +
-                                           std::to_string(tokens));
+                                       what + " at queries " +
+                                           std::to_string(t0) + "/" +
+                                           std::to_string(t1));
             };
             // A NaN score at key 0 sticks in the row max; a NaN score
             // past key 0 is skipped by it, as std::max does. (Two NaNs
@@ -374,13 +395,13 @@ TEST_P(KernelTierProperty, AttentionNonFiniteValuesMatchScalarAttention)
             run("NaN key 0", [&] { c.k[0][at(0, 1)] = nan; });
             run("NaN key 21", [&] { c.k[0][at(21, 2)] = nan; });
             run("NaN last key of the short row",
-                [&] { c.k[1][at(tokens + 2, 0)] = nan; });
+                [&] { c.k[1][at(t1 + 2, 0)] = nan; });
             // Infinite scores: max +inf makes inf - inf = NaN.
             run("+inf key 5", [&] { c.k[0][at(5, 0)] = inf; });
             run("-inf key 0", [&] { c.k[0][at(0, 0)] = -inf; });
             // Masked columns still enter S·V as 0 x v.
             run("inf value past the limit",
-                [&] { c.v[0][at(tokens + 39, 1)] = inf; });
+                [&] { c.v[0][at(t0 + 39, 1)] = inf; });
             run("NaN query", [&] { c.q.at(0, 3) = nan; });
         }
     }

@@ -1,0 +1,103 @@
+/**
+ * @file
+ * One forward pass per serving iteration (DESIGN.md §6).
+ *
+ * RuntimeBackend::onPlan runs every prefill chunk and plain decode of
+ * a plan in a single CooperativeExecutor::forward call. With kernel
+ * profiling on, each such plan must therefore make exactly one pass's
+ * matmul_packed calls — one per projection per layer plus the LM
+ * head — however many chunks and decodes it carries, and a plan with
+ * neither must make none.
+ */
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <vector>
+
+#include "obs/profiler.hh"
+#include "serve/engine.hh"
+#include "serve/runtime_backend.hh"
+#include "support/differential.hh"
+
+namespace {
+
+using namespace lia;
+
+/** Forwards to a RuntimeBackend and counts each plan's matmuls. */
+class PassCountingBackend : public serve::ExecutionBackend
+{
+  public:
+    explicit PassCountingBackend(serve::RuntimeBackend &inner)
+        : inner_(inner)
+    {}
+
+    struct Plan
+    {
+        std::size_t chunks = 0;
+        std::size_t decodes = 0;
+        std::uint64_t matmuls = 0;
+    };
+    std::vector<Plan> plans;
+
+    void
+    onPlan(const serve::IterationPlan &plan,
+           const std::vector<serve::Request> &requests,
+           const serve::AdmissionController &admission) override
+    {
+        const obs::KernelProfiler &profiler = *inner_.kernelProfiler();
+        const std::uint64_t before = profiler.calls("matmul_packed");
+        inner_.onPlan(plan, requests, admission);
+        plans.push_back({plan.chunks.size(), plan.decode.size(),
+                         profiler.calls("matmul_packed") - before});
+    }
+
+    void
+    onFinish(const serve::Request &request) override
+    {
+        inner_.onFinish(request);
+    }
+
+    void onDrain() override { inner_.onDrain(); }
+
+  private:
+    serve::RuntimeBackend &inner_;
+};
+
+TEST(RuntimeBackendTest, EachPlanRunsOneForwardPass)
+{
+    const model::ModelConfig &model = test::tinyServedModel();
+    serve::Config cfg;
+    cfg.requests = 16;
+    cfg.seed = 5;
+    cfg.maxBatch = 8;
+    cfg.trace = trace::TraceKind::Code;
+    cfg.maxContext = 128;
+    cfg.prefillChunkTokens = 8;       // prompts span several chunks
+    cfg.kvBudgetCapBytes = 1 << 20;   // admit everything
+    cfg.arrivalRatePerSecond = 1e4;   // a burst: chunks beside decodes
+    serve::RuntimeBackend backend(test::tinySystem(false), model, cfg,
+                                  /*profile_kernels=*/true);
+    PassCountingBackend counting(backend);
+    serve::ServingEngine engine(test::tinySystem(false), model, cfg);
+    const serve::Result result = engine.run(&counting);
+    ASSERT_EQ(result.metrics.completed, cfg.requests);
+
+    // Q, K, V, out-projection, FC1 and FC2 per layer, then the LM head.
+    const auto pass = static_cast<std::uint64_t>(6 * model.numLayers + 1);
+    std::size_t mixed = 0;
+    for (std::size_t i = 0; i < counting.plans.size(); ++i) {
+        const PassCountingBackend::Plan &plan = counting.plans[i];
+        const bool computes = plan.chunks + plan.decodes > 0;
+        EXPECT_EQ(plan.matmuls, computes ? pass : 0)
+            << "plan " << i << ": " << plan.chunks << " chunks, "
+            << plan.decodes << " decodes";
+        if (plan.chunks >= 2 && plan.decodes >= 2)
+            ++mixed;
+    }
+    EXPECT_GT(mixed, 0u) << "no plan mixed two chunks with two decodes";
+    EXPECT_EQ(backend.counters().prefillChunks,
+              result.metrics.prefillChunks);
+}
+
+} // namespace

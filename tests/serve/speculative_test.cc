@@ -8,7 +8,7 @@
  * CMake drives the same binary at LIA_THREADS=4).
  *
  *  - Runtime level: randomized prompts through the raw
- *    propose/verifyBatch/truncate loop vs sequential decodeOne, k in
+ *    propose/verifyBatch/truncate loop vs one-token decode passes, k in
  *    {1, 2, 4, 8}, memcmp on the emitted streams; mid-stream draft
  *    cache discards exercise the rebuild path.
  *  - Serving level: full runtime-backed runs with speculation on
@@ -48,6 +48,16 @@ using serve::SchedulerPolicy;
 
 constexpr std::int64_t kDraftLengths[] = {1, 2, 4, 8};
 
+/** One single-feed forward pass of one sequence. */
+std::int64_t
+step(CooperativeExecutor &exec, KvCache &cache,
+     std::vector<std::int64_t> tokens,
+     model::Stage stage = model::Stage::Decode)
+{
+    const runtime::ForwardFeed feed{&cache, std::move(tokens), stage};
+    return exec.forward({&feed, 1}).front();
+}
+
 TEST(SpeculativeTest, SpecOnGreedyIsBitIdenticalToSpecOffAcrossK)
 {
     const model::ModelConfig target_cfg = model::tinyOpt();
@@ -83,10 +93,10 @@ TEST(SpeculativeTest, SpecOnGreedyIsBitIdenticalToSpecOffAcrossK)
             // Spec-off reference: plain greedy decode.
             KvCache ref_cache(target_cfg, 1, 64);
             std::vector<std::int64_t> want;
-            want.push_back(target.prefillChunk(ref_cache, prompt));
+            want.push_back(
+                step(target, ref_cache, prompt, model::Stage::Prefill));
             while (static_cast<std::int64_t>(want.size()) < l_out)
-                want.push_back(
-                    target.decodeOne(ref_cache, want.back()));
+                want.push_back(step(target, ref_cache, {want.back()}));
 
             // Spec-on: draft k, verify in one batched pass, roll back
             // rejected KV, repeat — with the engine's end-of-stream
@@ -94,7 +104,8 @@ TEST(SpeculativeTest, SpecOnGreedyIsBitIdenticalToSpecOffAcrossK)
             KvCache cache(target_cfg, 1, 64);
             auto draft_cache = draft.makeCache(64);
             std::vector<std::int64_t> got;
-            got.push_back(target.prefillChunk(cache, prompt));
+            got.push_back(
+                step(target, cache, prompt, model::Stage::Prefill));
             while (static_cast<std::int64_t>(got.size()) < l_out) {
                 // Odd trials discard the draft cache mid-stream (the
                 // post-preemption state): propose() must rebuild it
@@ -108,7 +119,7 @@ TEST(SpeculativeTest, SpecOnGreedyIsBitIdenticalToSpecOffAcrossK)
                 const std::int64_t k_eff =
                     std::min(k, l_out - generated - 1);
                 if (k_eff < 1) {
-                    got.push_back(target.decodeOne(cache, got.back()));
+                    got.push_back(step(target, cache, {got.back()}));
                     continue;
                 }
                 std::vector<std::int64_t> stream = prompt;
