@@ -23,23 +23,20 @@ DraftModel::makeCache(std::int64_t max_len) const
 }
 
 std::vector<std::int64_t>
-DraftModel::propose(KvCache &cache,
-                    const std::vector<std::int64_t> &stream,
+DraftModel::propose(KvCache &cache, std::vector<std::int64_t> suffix,
                     std::int64_t k)
 {
     LIA_ASSERT(k >= 1, "propose wants at least one draft token");
-    const auto n = static_cast<std::int64_t>(stream.size());
-    LIA_ASSERT(cache.length() < n,
-               "draft cache (", cache.length(),
-               " tokens) must trail the stream (", n, ")");
+    LIA_ASSERT(!suffix.empty(), "draft cache (", cache.length(),
+               " tokens) must trail the stream");
+    const std::int64_t n =
+        cache.length() + static_cast<std::int64_t>(suffix.size());
 
     // Catch up: feed every stream token the cache has not seen. After
     // an accepted verify this is one token (the correction/bonus); on
     // a fresh or rebuilt cache it is the whole stream. The chunk's
     // final sample is the first draft.
-    ForwardFeed feed{&cache,
-                     {stream.begin() + cache.length(), stream.end()},
-                     model::Stage::Prefill};
+    ForwardFeed feed{&cache, std::move(suffix), model::Stage::Prefill};
     std::vector<std::int64_t> drafts;
     drafts.reserve(static_cast<std::size_t>(k));
     for (;;) {
@@ -69,6 +66,23 @@ DraftModel::truncateAfterVerify(KvCache &cache,
     LIA_ASSERT(cache.length() == stream_len + k - 1,
                "verify rollback against an unexpected draft cache");
     cache.truncate(keep);
+}
+
+std::int64_t
+greedyAccepted(std::span<const std::int64_t> samples,
+               std::span<const std::int64_t> drafts)
+{
+    LIA_ASSERT(!drafts.empty() && samples.size() == drafts.size() + 1,
+               "verify sampled ", samples.size(), " positions for ",
+               drafts.size(), " drafts");
+    // Position i's sample depends only on inputs up to i (causal
+    // masking), which equal the true greedy stream while the draft
+    // prefix holds.
+    std::size_t accepted = 0;
+    while (accepted < drafts.size() &&
+           samples[accepted] == drafts[accepted])
+        ++accepted;
+    return static_cast<std::int64_t>(accepted);
 }
 
 } // namespace runtime

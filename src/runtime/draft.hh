@@ -8,13 +8,14 @@
  * speculation step against a caller-owned draft KvCache. The draft
  * cache trails the target's emitted stream: propose() first feeds the
  * stream suffix the cache has not seen (one token after an accepted
- * verify, the whole prompt on the first step or after a preemption
- * discarded the cache), then rolls k tokens forward. The caller
- * truncates the cache after verification so rejected drafts never
- * contaminate later proposals.
+ * verify, the whole stream on the first step or after a preemption
+ * discarded the cache), then rolls k tokens forward. The target
+ * scores the proposals as one sampleEvery feed of its forward pass,
+ * greedyAccepted() applies the accept rule, and the caller truncates
+ * both caches so rejected drafts never contaminate later proposals.
  *
  * The draft model shares the target's vocabulary and context window
- * by construction, so its proposals feed verifyBatch directly.
+ * by construction, so its proposals feed the target directly.
  */
 
 #ifndef LIA_RUNTIME_DRAFT_HH
@@ -22,6 +23,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "hw/system.hh"
@@ -55,19 +57,19 @@ class DraftModel
     std::unique_ptr<KvCache> makeCache(std::int64_t max_len) const;
 
     /**
-     * Propose @p k greedy draft tokens continuing @p stream (the
-     * target's full token stream so far: prompt plus emitted outputs).
-     * @p cache must hold the draft KV of a strict prefix of @p stream;
-     * the catch-up suffix stream[cache.length()..) is fed first, then
-     * the proposal rolls forward. On return the cache holds
-     * stream.size() + k - 1 tokens: the full stream (minus the final
-     * unfed position) plus the first k-1 drafts.
+     * Propose @p k greedy draft tokens continuing the target's token
+     * stream (prompt plus emitted outputs). @p cache holds the draft
+     * KV of the stream's first cache.length() tokens and @p suffix is
+     * the rest of the stream, at least one token: it is fed first,
+     * then the proposal rolls forward. On return the cache holds
+     * suffix.size() + k - 1 more tokens: the full stream plus the
+     * first k-1 drafts.
      *
      * After the target verifies and accepts `a` drafts, roll the
      * cache back with truncateAfterVerify() before the next propose.
      */
     std::vector<std::int64_t>
-    propose(KvCache &cache, const std::vector<std::int64_t> &stream,
+    propose(KvCache &cache, std::vector<std::int64_t> suffix,
             std::int64_t k);
 
     /**
@@ -82,12 +84,21 @@ class DraftModel
                                     std::int64_t accepted,
                                     std::int64_t k);
 
-    const CooperativeExecutor &executor() const { return executor_; }
-
   private:
     model::ModelConfig config_;
     CooperativeExecutor executor_;
 };
+
+/**
+ * The greedy accept rule of one verify (DESIGN.md §11). @p samples
+ * are the target's samples at the k+1 positions it fed,
+ * [last, d1..dk]; @p drafts are d1..dk. Returns the longest prefix
+ * where draft i equals the sample at position i - 1. The step emits
+ * samples[0..accepted]: the accepted drafts plus the target's own
+ * next token (the correction, or the bonus when every draft held).
+ */
+std::int64_t greedyAccepted(std::span<const std::int64_t> samples,
+                            std::span<const std::int64_t> drafts);
 
 } // namespace runtime
 } // namespace lia

@@ -364,40 +364,6 @@ CooperativeExecutor::forward(std::span<const ForwardFeed> feeds)
     return sample(hidden, picked);
 }
 
-SpeculativeVerify
-CooperativeExecutor::verifyBatch(KvCache &cache,
-                                 std::int64_t last_token,
-                                 const std::vector<std::int64_t> &drafts)
-{
-    LIA_ASSERT(cache.batch() == 1,
-               "per-sequence verify wants a batch-1 cache");
-    LIA_ASSERT(!drafts.empty(), "verify needs at least one draft");
-    const auto k = static_cast<std::int64_t>(drafts.size());
-    const std::int64_t base = cache.length();
-
-    // One decode pass over k+1 positions: the last emitted token plus
-    // the k drafts shifted right by one. Position i's sample depends
-    // only on inputs up to i (causal masking), which equal the true
-    // greedy stream while the draft prefix holds.
-    ForwardFeed feed{&cache, {last_token}, Stage::Decode, true};
-    feed.tokens.insert(feed.tokens.end(), drafts.begin(), drafts.end());
-    const std::vector<std::int64_t> samples = forward({&feed, 1});
-
-    SpeculativeVerify out;
-    while (out.accepted < k &&
-           samples[static_cast<std::size_t>(out.accepted)] ==
-               drafts[static_cast<std::size_t>(out.accepted)]) {
-        ++out.accepted;
-    }
-    out.emitted.assign(samples.begin(),
-                       samples.begin() + out.accepted + 1);
-
-    // Roll the rejected suffix out of the cache: keep the accepted
-    // drafts plus the slot the correction/bonus token just filled.
-    cache.truncate(base + out.accepted + 1);
-    return out;
-}
-
 std::vector<std::vector<std::int64_t>>
 CooperativeExecutor::generate(
     const std::vector<std::vector<std::int64_t>> &prompts,

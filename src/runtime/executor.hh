@@ -75,18 +75,6 @@ struct ExecutorConfig
 };
 
 /**
- * Outcome of one speculative verify pass (DESIGN.md §11): the number
- * of draft tokens the target model accepted and the tokens actually
- * emitted — the accepted prefix plus the target's own next token
- * (the "correction", or the bonus token when every draft matched).
- */
-struct SpeculativeVerify
-{
-    std::int64_t accepted = 0;           //!< drafts kept, in [0, k]
-    std::vector<std::int64_t> emitted;   //!< accepted+1 tokens
-};
-
-/**
  * One cache's share of a forward pass: its batch rows feed T tokens
  * each, at positions cache->length() onward.
  */
@@ -97,7 +85,8 @@ struct ForwardFeed
     std::vector<std::int64_t> tokens;
     /** The stage the feed is charged as: its policy and cost model. */
     model::Stage stage = model::Stage::Decode;
-    /** Sample every position (a verify pass), not only the last. */
+    /** Sample every position (a speculative verify), not only the
+     *  last. */
     bool sampleEvery = false;
 };
 
@@ -137,23 +126,6 @@ class CooperativeExecutor
     std::vector<std::vector<std::int64_t>>
     generate(const std::vector<std::vector<std::int64_t>> &prompts,
              std::int64_t l_out);
-
-    /**
-     * Score @p drafts (k proposed tokens) in one Decode forward pass
-     * feeding [@p last_token, d1..dk-1] — k+1 positions — and sample
-     * every position. Greedy accept: the longest prefix where draft i
-     * equals the target's sample at position i-1 is kept, plus the
-     * target's sample one past it. The cache is rolled back to the
-     * accepted length, so after the call
-     * `cache.length() == old_length + accepted + 1` — exactly as if
-     * the emitted tokens had been produced by sequential one-token
-     * decode passes, and bit-identical to them (the kernels are
-     * row-count invariant and causal masking is position-exact,
-     * DESIGN.md §11).
-     */
-    SpeculativeVerify
-    verifyBatch(KvCache &cache, std::int64_t last_token,
-                const std::vector<std::int64_t> &drafts);
 
     const TransferLedger &ledger() const { return ledger_; }
     const SimDevice &cpuDevice() const { return cpu_; }

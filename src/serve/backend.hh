@@ -9,9 +9,15 @@
  *  - onPlan(): once per scheduler-committed plan, after the request
  *    pools and the admission byte account reflect the plan but before
  *    simulated time advances — the backend performs the prefill
- *    chunks, decode steps, and preemption transitions the plan lists;
+ *    chunks, decode steps, speculative draft + verify steps, and
+ *    preemption transitions the plan lists;
  *  - onFinish(): when a request completes and hands its KV back;
  *  - onDrain(): once the event queue empties, for leak checks.
+ *
+ * Right after onPlan() the engine resolves the plan's speculation,
+ * asking acceptedDrafts() for every speculative entry; a backend that
+ * runs no speculation answers -1 and the engine's acceptance oracle
+ * decides instead.
  *
  * Backends must be passive with respect to scheduling: a run with a
  * backend attached must produce bit-identical scheduling decisions,
@@ -42,27 +48,26 @@ class ExecutionBackend
      * engine's backing store (pre-execution bookkeeping: prefilled /
      * generated counters are advanced by the engine only when the
      * iteration completes); @p admission exposes the engine-side byte
-     * account so backends can assert lockstep accounting.
+     * account so backends can assert lockstep accounting. The plan's
+     * specAccepted is still empty: the engine resolves speculation
+     * after execution, and the reservations still hold the
+     * worst-case k + 1 tokens per speculative entry.
      */
     virtual void onPlan(const IterationPlan &plan,
                         const std::vector<Request> &requests,
                         const AdmissionController &admission) = 0;
 
     /**
-     * Resolve one speculative decode step of @p request by actually
-     * drafting and verifying @p draft_tokens tokens; returns the
-     * accepted draft count in [0, draft_tokens], or -1 when the
-     * backend does not execute speculation (the engine then falls
-     * back to its acceptance oracle). Called while the engine
-     * resolves a committed plan's speculation — before onPlan(), so
-     * onPlan() sees the post-verify sequence state and can assert it
-     * against IterationPlan::specAccepted.
+     * Accepted draft count, in [0, k], of @p request's speculative
+     * step in the plan onPlan() just executed, or -1 when the backend
+     * runs no speculation (the engine then falls back to its
+     * acceptance oracle). A backend that wraps another must forward
+     * this query, or the engine's oracle and the wrapped backend's
+     * verified streams part ways.
      */
-    virtual std::int64_t speculate(const Request &request,
-                                   std::int64_t draft_tokens)
+    virtual std::int64_t acceptedDrafts(const Request &request) const
     {
         (void)request;
-        (void)draft_tokens;
         return -1;
     }
 

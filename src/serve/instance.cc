@@ -290,13 +290,6 @@ EngineInstance::startIteration()
     plan.prefixOps.insert(plan.prefixOps.begin(), insertOps.begin(),
                           insertOps.end());
 
-    // Resolve speculation before any pool transition: decode entries
-    // are disjoint from this plan's admit/resume/chunk/preemption
-    // sets, so the backend's verify runs against exactly the cache
-    // state the previous iteration left behind.
-    if (!plan.specDrafts.empty())
-        resolveSpeculation(plan);
-
     for (std::size_t index : plan.shed) {
         requests_[index].state = RequestState::Rejected;
         ++metrics_.shedSlo;
@@ -427,6 +420,10 @@ EngineInstance::startIteration()
     // engine-side progress counters have advanced yet.
     if (backend_ && !plan.idle())
         backend_->onPlan(plan, requests_, admission_);
+    // Speculation resolves after execution: the backend verified
+    // every speculative entry inside onPlan's forward pass.
+    if (!plan.specDrafts.empty())
+        resolveSpeculation(plan);
 
     if (plan.computeIdle()) {
         inFlight_ = false;
@@ -598,7 +595,7 @@ EngineInstance::resolveSpeculation(IterationPlan &plan)
             continue;
         }
         std::int64_t accepted =
-            backend_ ? backend_->speculate(request, k) : -1;
+            backend_ ? backend_->acceptedDrafts(request) : -1;
         if (accepted < 0) {
             // Analytic path: the replay oracle when the harness
             // installed one, the modeled acceptance draw otherwise.

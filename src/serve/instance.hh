@@ -150,12 +150,12 @@ class EngineInstance
 
     /**
      * Resolve the committed plan's speculative decode entries: ask
-     * the backend to draft + verify (or fall back to the acceptance
-     * oracle), fill IterationPlan::specAccepted, settle the
-     * worst-case reservation back to the verified token count, and
-     * account the per-request / run metrics. Runs before the pool
-     * transitions and before onPlan(), so the backend asserts
-     * post-verify state when it mirrors the rest of the plan.
+     * the backend how many drafts its verify accepted (or fall back
+     * to the acceptance oracle), fill IterationPlan::specAccepted,
+     * settle the worst-case reservation back to the verified token
+     * count, and account the per-request / run metrics. Runs right
+     * after onPlan() and before pricing; nothing in between reads
+     * what it writes.
      */
     void resolveSpeculation(IterationPlan &plan);
     void emitIteration(const IterationPlan &plan, double now,

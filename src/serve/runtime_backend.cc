@@ -1,6 +1,7 @@
 #include "serve/runtime_backend.hh"
 
 #include <cmath>
+#include <span>
 #include <sstream>
 #include <utility>
 
@@ -57,6 +58,24 @@ backendExecutorConfig(std::shared_ptr<base::ThreadPool> pool,
     if (model.weightBytesPerElement == 1.0)
         cfg.weightPrecision = model::WeightPrecision::Int8;
     return cfg;
+}
+
+/**
+ * Tokens [@p from, @p to) of the stream @p prompt + @p outputs, read
+ * straight from the two halves without building the whole stream.
+ */
+std::vector<std::int64_t>
+streamSlice(const std::vector<std::int64_t> &prompt,
+            const std::vector<std::int64_t> &outputs, std::int64_t from,
+            std::int64_t to)
+{
+    const auto split = static_cast<std::int64_t>(prompt.size());
+    std::vector<std::int64_t> slice;
+    slice.reserve(static_cast<std::size_t>(to - from));
+    for (std::int64_t t = from; t < to; ++t)
+        slice.push_back(t < split ? prompt.at(t)
+                                  : outputs.at(t - split));
+    return slice;
 }
 
 } // namespace
@@ -266,14 +285,6 @@ RuntimeBackend::attachHit(const PrefixHit &hit, const Request &request,
         static_cast<std::uint64_t>(hit.tokens);
 }
 
-std::vector<std::int64_t>
-RuntimeBackend::passStream(const Sequence &seq) const
-{
-    std::vector<std::int64_t> stream = seq.prompt;
-    stream.insert(stream.end(), seq.outputs.begin(), seq.outputs.end());
-    return stream;
-}
-
 void
 RuntimeBackend::onPlan(const IterationPlan &plan,
                        const std::vector<Request> &requests,
@@ -402,72 +413,18 @@ RuntimeBackend::onPlan(const IterationPlan &plan,
                    seq.prompt.size() + seq.outputs.size());
     }
 
-    // Every prefill chunk and plain decode of the plan runs in one
-    // forward pass (DESIGN.md §6), chunks first in plan order, then
-    // the decodes, so the iteration streams the weights once. Each
-    // entry is checked against its sequence's state before the pass
-    // and completed after it.
+    // Every speculative verify, prefill chunk and plain decode of the
+    // plan runs in one forward pass (DESIGN.md §6), so the iteration
+    // streams the weights once: verifies first in decode order, then
+    // chunks in plan order, then plain decodes, the feed order the
+    // ledger charges in. Each entry is checked against its sequence's
+    // state before the pass and completed after it.
     std::vector<runtime::ForwardFeed> feeds;
-    for (const PrefillChunk &chunk : plan.chunks) {
-        const Request &request = requests[chunk.index];
-        Sequence &seq = sequence(request.id);
-        LIA_ASSERT(chunk.history == seq.passDone &&
-                       chunk.history == seq.cache->length(),
-                   "chunk history ", chunk.history,
-                   " does not continue request ", request.id,
-                   "'s pass (done ", seq.passDone, ", cache ",
-                   seq.cache->length(), ")");
-        LIA_ASSERT(seq.passDone + chunk.tokens <= seq.passTarget,
-                   "chunk overruns the prefill pass");
-        const std::vector<std::int64_t> stream = passStream(seq);
-        const auto first = stream.begin() + chunk.history;
-        feeds.push_back({seq.cache.get(), {first, first + chunk.tokens},
-                         model::Stage::Prefill});
-    }
-
-    std::vector<std::size_t> decoding;
+    std::vector<std::size_t> verifying, decoding;
     for (std::size_t i = 0; i < plan.decode.size(); ++i) {
         const std::size_t index = plan.decode[i];
         const Request &request = requests[index];
         Sequence &seq = sequence(request.id);
-        const std::int64_t spec_k =
-            plan.specDrafts.empty() ? 0 : plan.specDrafts[i];
-        if (spec_k > 0) {
-            // This entry's speculative step already executed in
-            // speculate() (the engine resolves speculation before
-            // onPlan); assert the post-verify state the plan records.
-            LIA_ASSERT(plan.specAccepted.size() == plan.decode.size(),
-                       "spec plan committed without resolution");
-            const std::int64_t emitted = plan.specAccepted[i] + 1;
-            LIA_ASSERT(static_cast<std::int64_t>(seq.outputs.size()) ==
-                           request.generated + emitted,
-                       "speculative step for request ", request.id,
-                       " emitted ",
-                       seq.outputs.size() - request.generated,
-                       " tokens but the plan records ", emitted);
-            LIA_ASSERT(seq.cache->length() ==
-                           request.lIn +
-                               static_cast<std::int64_t>(
-                                   seq.outputs.size()) - 1,
-                       "verify KV length diverged for request ",
-                       request.id);
-            if (optimistic) {
-                // The scheduler grew the reservation by the
-                // worst-case k+1 tokens and the engine settled it
-                // back to the verified count before onPlan.
-                LIA_ASSERT(sameBytes(seq.cache->bf16Bytes(),
-                                     request.kvReservedBytes),
-                           "verify: cache ", seq.cache->bf16Bytes(),
-                           " bytes vs reservation ",
-                           request.kvReservedBytes);
-            } else {
-                LIA_ASSERT(seq.cache->bf16Bytes() <=
-                               request.kvReservedBytes + 0.5,
-                           "verify grew past the full-horizon "
-                           "reservation");
-            }
-            continue;
-        }
         LIA_ASSERT(request.generated ==
                        static_cast<std::int64_t>(seq.outputs.size()),
                    "engine counts ", request.generated,
@@ -479,7 +436,52 @@ RuntimeBackend::onPlan(const IterationPlan &plan,
                                seq.outputs.size()) - 1,
                    "decode of request ", request.id,
                    " starts from a diverged KV length");
-        decoding.push_back(index);
+        const std::int64_t spec_k =
+            plan.specDrafts.empty() ? 0 : plan.specDrafts[i];
+        if (spec_k == 0) {
+            decoding.push_back(index);
+            continue;
+        }
+        // Draft k tokens on the CPU-side draft model, then score them
+        // as a feed of [last, d1..dk] sampling every position.
+        LIA_ASSERT(draft_ != nullptr,
+                   "speculative plan on a backend built with spec "
+                   "disabled");
+        if (!seq.draftCache)
+            seq.draftCache = draft_->makeCache(request.lIn + request.lOut);
+        const auto stream = static_cast<std::int64_t>(
+            seq.prompt.size() + seq.outputs.size());
+        std::vector<std::int64_t> tokens = draft_->propose(
+            *seq.draftCache,
+            streamSlice(seq.prompt, seq.outputs, seq.draftCache->length(),
+                        stream),
+            spec_k);
+        tokens.insert(tokens.begin(), seq.outputs.back());
+        feeds.push_back({seq.cache.get(), std::move(tokens),
+                         model::Stage::Decode, true});
+        verifying.push_back(index);
+    }
+
+    for (const PrefillChunk &chunk : plan.chunks) {
+        const Request &request = requests[chunk.index];
+        Sequence &seq = sequence(request.id);
+        LIA_ASSERT(chunk.history == seq.passDone &&
+                       chunk.history == seq.cache->length(),
+                   "chunk history ", chunk.history,
+                   " does not continue request ", request.id,
+                   "'s pass (done ", seq.passDone, ", cache ",
+                   seq.cache->length(), ")");
+        LIA_ASSERT(seq.passDone + chunk.tokens <= seq.passTarget,
+                   "chunk overruns the prefill pass");
+        feeds.push_back({seq.cache.get(),
+                         streamSlice(seq.prompt, seq.outputs,
+                                     chunk.history,
+                                     chunk.history + chunk.tokens),
+                         model::Stage::Prefill});
+    }
+
+    for (std::size_t index : decoding) {
+        const Sequence &seq = sequence(requests[index].id);
         feeds.push_back({seq.cache.get(), {seq.outputs.back()},
                          model::Stage::Decode});
     }
@@ -487,11 +489,65 @@ RuntimeBackend::onPlan(const IterationPlan &plan,
     const std::vector<std::int64_t> sampled =
         feeds.empty() ? std::vector<std::int64_t>{}
                       : executor_.forward(feeds);
+    auto next = sampled.begin();
 
-    for (std::size_t c = 0; c < plan.chunks.size(); ++c) {
-        const PrefillChunk &chunk = plan.chunks[c];
+    // The verify feeds lead the pass, so feeds[v] is verifying[v]'s.
+    for (std::size_t v = 0; v < verifying.size(); ++v) {
+        const Request &request = requests[verifying[v]];
+        Sequence &seq = sequence(request.id);
+        const auto drafts = std::span(feeds[v].tokens).subspan(1);
+        const auto k = static_cast<std::int64_t>(drafts.size());
+        const std::span<const std::int64_t> samples(
+            next, static_cast<std::size_t>(k + 1));
+        next += k + 1;
+        const std::int64_t accepted =
+            runtime::greedyAccepted(samples, drafts);
+        // Roll the k - accepted rejected positions out of both caches:
+        // the target keeps the accepted drafts plus the slot the
+        // correction or bonus token just filled.
+        seq.cache->truncate(seq.cache->length() - (k - accepted));
+        runtime::DraftModel::truncateAfterVerify(
+            *seq.draftCache,
+            static_cast<std::int64_t>(seq.prompt.size() +
+                                      seq.outputs.size()),
+            accepted, k);
+        seq.outputs.insert(seq.outputs.end(), samples.begin(),
+                           samples.begin() + accepted + 1);
+        seq.accepted = accepted;
+        ddrBytes_ += perToken * static_cast<double>(accepted + 1);
+        ++counters_.specSteps;
+        counters_.specDrafted += static_cast<std::uint64_t>(k);
+        counters_.specAccepted += static_cast<std::uint64_t>(accepted);
+        counters_.specTokens += static_cast<std::uint64_t>(accepted + 1);
+        LIA_ASSERT(seq.cache->length() ==
+                       request.lIn +
+                           static_cast<std::int64_t>(
+                               seq.outputs.size()) - 1,
+                   "verify KV length diverged for request ",
+                   request.id);
+        if (optimistic) {
+            // The scheduler grew the reservation by the worst-case
+            // k + 1 tokens; the engine settles the k - accepted
+            // rejected ones once onPlan returns.
+            LIA_ASSERT(sameBytes(seq.cache->bf16Bytes() +
+                                     perToken * static_cast<double>(
+                                                    k - accepted),
+                                 request.kvReservedBytes),
+                       "verify: cache ", seq.cache->bf16Bytes(),
+                       " bytes, ", k - accepted,
+                       " rejected drafts vs reservation ",
+                       request.kvReservedBytes);
+        } else {
+            LIA_ASSERT(seq.cache->bf16Bytes() <=
+                           request.kvReservedBytes + 0.5,
+                       "verify grew past the full-horizon reservation");
+        }
+    }
+
+    for (const PrefillChunk &chunk : plan.chunks) {
         const Request &request = requests[chunk.index];
         Sequence &seq = sequence(request.id);
+        const std::int64_t emitted = *next++;
         seq.passDone += chunk.tokens;
         ddrBytes_ += perToken * static_cast<double>(chunk.tokens);
         ++counters_.prefillChunks;
@@ -511,7 +567,7 @@ RuntimeBackend::onPlan(const IterationPlan &plan,
             seq.recomputing = false;
             ++counters_.recomputesVerified;
         }
-        seq.outputs.push_back(sampled[c]);
+        seq.outputs.push_back(emitted);
         ++counters_.passCompletions;
         if (config_.prefix.enabled) {
             // The engine flushes this pass into the radix tree next
@@ -526,10 +582,10 @@ RuntimeBackend::onPlan(const IterationPlan &plan,
         }
     }
 
-    for (std::size_t i = 0; i < decoding.size(); ++i) {
-        const Request &request = requests[decoding[i]];
+    for (std::size_t index : decoding) {
+        const Request &request = requests[index];
         Sequence &seq = sequence(request.id);
-        seq.outputs.push_back(sampled[plan.chunks.size() + i]);
+        seq.outputs.push_back(*next++);
         ddrBytes_ += perToken;
         ++counters_.decodeSteps;
         LIA_ASSERT(seq.cache->length() ==
@@ -552,6 +608,8 @@ RuntimeBackend::onPlan(const IterationPlan &plan,
                        "cache grew past the full-horizon reservation");
         }
     }
+    LIA_ASSERT(next == sampled.end(), "forward sampled ", sampled.size(),
+               " tokens the plan did not consume");
 
     // Whole-account lockstep: the runtime's materialised bytes never
     // exceed the engine's reservations (in-flight pass remainders and
@@ -586,40 +644,14 @@ RuntimeBackend::onPlan(const IterationPlan &plan,
 }
 
 std::int64_t
-RuntimeBackend::speculate(const Request &request,
-                          std::int64_t draft_tokens)
+RuntimeBackend::acceptedDrafts(const Request &request) const
 {
-    LIA_ASSERT(draft_tokens >= 1, "speculate wants k >= 1");
-    LIA_ASSERT(draft_ != nullptr,
-               "speculate on a backend built with spec disabled");
-    Sequence &seq = sequence(request.id);
-    LIA_ASSERT(seq.parked.empty() && !seq.recomputing,
-               "speculating a preempted request");
-    LIA_ASSERT(!seq.outputs.empty(),
-               "speculation before the prefill pass emitted");
-    if (!seq.draftCache)
-        seq.draftCache = draft_->makeCache(request.lIn + request.lOut);
-
-    const std::vector<std::int64_t> stream = passStream(seq);
-    const auto n = static_cast<std::int64_t>(stream.size());
-    const std::vector<std::int64_t> drafts =
-        draft_->propose(*seq.draftCache, stream, draft_tokens);
-    const runtime::SpeculativeVerify verify =
-        executor_.verifyBatch(*seq.cache, seq.outputs.back(), drafts);
-    runtime::DraftModel::truncateAfterVerify(
-        *seq.draftCache, n, verify.accepted, draft_tokens);
-
-    seq.outputs.insert(seq.outputs.end(), verify.emitted.begin(),
-                       verify.emitted.end());
-    ddrBytes_ +=
-        perTokenBytes() * static_cast<double>(verify.accepted + 1);
-    ++counters_.specSteps;
-    counters_.specDrafted += static_cast<std::uint64_t>(draft_tokens);
-    counters_.specAccepted +=
-        static_cast<std::uint64_t>(verify.accepted);
-    counters_.specTokens +=
-        static_cast<std::uint64_t>(verify.accepted + 1);
-    return verify.accepted;
+    if (draft_ == nullptr)
+        return -1;
+    auto it = live_.find(request.id);
+    LIA_ASSERT(it != live_.end() && it->second.accepted >= 0,
+               "request ", request.id, " took no verify to resolve");
+    return it->second.accepted;
 }
 
 void

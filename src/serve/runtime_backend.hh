@@ -7,12 +7,14 @@
  * request and drives runtime::CooperativeExecutor through exactly the
  * work the plan lists: evict-and-recompute and swap-to-CXL parking
  * via KvCache::evict()/restore(), then one forward pass per plan over
- * every prefill chunk (fresh and recompute) and plain decode step it
- * lists, each sequence feeding its own tokens against its own cache.
- * Speculative steps run earlier, one verify pass per request in
- * speculate(). Prompts are synthesized
- * deterministically from the request id, so the same served workload
- * always decodes the same greedy token streams.
+ * every speculative verify, prefill chunk (fresh and recompute) and
+ * plain decode step it lists, each sequence feeding its own tokens
+ * against its own cache. A speculative step drafts its k tokens on
+ * the draft model first and feeds [last, d1..dk] sampling every
+ * position; acceptedDrafts() then tells the engine how many held.
+ * Prompts are synthesized deterministically from the request id, so
+ * the same served workload always decodes the same greedy token
+ * streams.
  *
  * The backend mirrors the engine's byte accounting token for token and
  * LIA_ASSERTs the model-vs-runtime invariants on every plan:
@@ -117,8 +119,7 @@ class RuntimeBackend : public ExecutionBackend
     void onPlan(const IterationPlan &plan,
                 const std::vector<Request> &requests,
                 const AdmissionController &admission) override;
-    std::int64_t speculate(const Request &request,
-                           std::int64_t draft_tokens) override;
+    std::int64_t acceptedDrafts(const Request &request) const override;
     void onFinish(const Request &request) override;
     void onDrain() override;
 
@@ -149,10 +150,6 @@ class RuntimeBackend : public ExecutionBackend
     double swappedKvBytes() const { return swapBytes_; }
 
     const Counters &counters() const { return counters_; }
-    const runtime::CooperativeExecutor &executor() const
-    {
-        return executor_;
-    }
 
     /** Kernel wall-clock profile; nullptr unless profiling is on. */
     const obs::KernelProfiler *kernelProfiler() const
@@ -182,13 +179,16 @@ class RuntimeBackend : public ExecutionBackend
 
         /**
          * Draft-geometry KV trailing the emitted stream (DESIGN.md
-         * §11). Built lazily on the first speculate() and discarded
-         * whenever the target cache is (evict / swap-out) — the next
-         * propose() replays the whole stream to rebuild it. Draft KV
-         * models CPU-side memory, so it stays outside the DDR KV byte
-         * ledger the admission account mirrors.
+         * §11). Built lazily on the first speculative step and
+         * discarded whenever the target cache is (evict / swap-out) —
+         * the next propose() replays the whole stream to rebuild it.
+         * Draft KV models CPU-side memory, so it stays outside the DDR
+         * KV byte ledger the admission account mirrors.
          */
         std::unique_ptr<runtime::KvCache> draftCache;
+
+        /** Drafts the latest verify accepted; -1 before any. */
+        std::int64_t accepted = -1;
     };
 
     /**
@@ -219,9 +219,6 @@ class RuntimeBackend : public ExecutionBackend
     void attachHit(const PrefixHit &hit, const Request &request,
                    Sequence &seq);
 
-    /** The (prompt + generated) token stream a prefill pass replays. */
-    std::vector<std::int64_t> passStream(const Sequence &seq) const;
-
     model::ModelConfig model_;
     Config config_;
     /** Kernel pool shared with executor_ and fingerprint checks. */
@@ -245,10 +242,9 @@ class RuntimeBackend : public ExecutionBackend
      * the map in applyPrefixOps, clears it, then refills it with its
      * own completions. A plan carrying an Insert is never idle, so
      * onPlan always sees it. The sequence's own cache is staged, not
-     * a copy: until the insert nothing writes its prompt positions
-     * (decode and speculative verify only append past them, and
-     * swap-out or eviction come after the inserts in onPlan), and a
-     * sequence finishing in between leaves its cache alive here.
+     * a copy: onPlan applies the inserts before anything else touches
+     * a cache, so nothing writes its prompt positions in between, and
+     * a sequence finishing in between leaves its cache alive here.
      */
     std::map<std::uint64_t, std::shared_ptr<const runtime::KvCache>>
         passes_;

@@ -79,10 +79,11 @@ struct IterationPlan
     /**
      * Draft tokens accepted per decode entry (parallel to decode;
      * empty when speculation is off). Filled by the engine's
-     * speculation resolution — oracle or executed verify — before the
-     * plan reaches the backend's onPlan, so the backend can assert
-     * post-verify cache state. Entry i emits specAccepted[i] + 1
-     * tokens when specDrafts[i] > 0, else exactly 1.
+     * speculation resolution — the backend's executed verify or the
+     * acceptance oracle — after the backend's onPlan ran the plan and
+     * before the iteration is priced. Entry i emits
+     * specAccepted[i] + 1 tokens when specDrafts[i] > 0, else
+     * exactly 1.
      */
     std::vector<std::int64_t> specAccepted;
 

@@ -7,10 +7,10 @@
  * draft length k and every kernel-pool width (the threads4 re-run in
  * CMake drives the same binary at LIA_THREADS=4).
  *
- *  - Runtime level: randomized prompts through the raw
- *    propose/verifyBatch/truncate loop vs one-token decode passes, k in
- *    {1, 2, 4, 8}, memcmp on the emitted streams; mid-stream draft
- *    cache discards exercise the rebuild path.
+ *  - Runtime level: randomized prompts through the raw propose /
+ *    sampleEvery forward / greedyAccepted / truncate loop vs one-token
+ *    decode passes, k in {1, 2, 4, 8}, memcmp on the emitted streams;
+ *    mid-stream draft cache discards exercise the rebuild path.
  *  - Serving level: full runtime-backed runs with speculation on
  *    decode the same tokens as the spec-off golden run, per request.
  *  - Accounting: the engine's acceptance counters match a scalar
@@ -98,9 +98,10 @@ TEST(SpeculativeTest, SpecOnGreedyIsBitIdenticalToSpecOffAcrossK)
             while (static_cast<std::int64_t>(want.size()) < l_out)
                 want.push_back(step(target, ref_cache, {want.back()}));
 
-            // Spec-on: draft k, verify in one batched pass, roll back
-            // rejected KV, repeat — with the engine's end-of-stream
-            // clamp so the emitted count never overshoots lOut.
+            // Spec-on: draft k, verify as one sampleEvery feed, roll
+            // back rejected KV, repeat — with the engine's
+            // end-of-stream clamp so the emitted count never
+            // overshoots lOut.
             KvCache cache(target_cfg, 1, 64);
             auto draft_cache = draft.makeCache(64);
             std::vector<std::int64_t> got;
@@ -124,16 +125,26 @@ TEST(SpeculativeTest, SpecOnGreedyIsBitIdenticalToSpecOffAcrossK)
                 }
                 std::vector<std::int64_t> stream = prompt;
                 stream.insert(stream.end(), got.begin(), got.end());
-                const std::vector<std::int64_t> drafts =
-                    draft.propose(*draft_cache, stream, k_eff);
-                const runtime::SpeculativeVerify verify =
-                    target.verifyBatch(cache, got.back(), drafts);
+                const std::vector<std::int64_t> drafts = draft.propose(
+                    *draft_cache,
+                    {stream.begin() + draft_cache->length(),
+                     stream.end()},
+                    k_eff);
+                runtime::ForwardFeed verify{&cache, {got.back()},
+                                            model::Stage::Decode, true};
+                verify.tokens.insert(verify.tokens.end(), drafts.begin(),
+                                     drafts.end());
+                const std::vector<std::int64_t> samples =
+                    target.forward({&verify, 1});
+                const std::int64_t accepted =
+                    runtime::greedyAccepted(samples, drafts);
+                cache.truncate(cache.length() - (k_eff - accepted));
                 DraftModel::truncateAfterVerify(
                     *draft_cache,
-                    static_cast<std::int64_t>(stream.size()),
-                    verify.accepted, k_eff);
-                got.insert(got.end(), verify.emitted.begin(),
-                           verify.emitted.end());
+                    static_cast<std::int64_t>(stream.size()), accepted,
+                    k_eff);
+                got.insert(got.end(), samples.begin(),
+                           samples.begin() + accepted + 1);
                 EXPECT_EQ(cache.length(),
                           l_in +
                               static_cast<std::int64_t>(got.size()) -

@@ -144,7 +144,8 @@ namespace {
 
 /**
  * RuntimeBackend that records the verified accept count of every
- * speculation step, keyed by (request id, per-request step index).
+ * speculation step, keyed by (request id, per-request step index),
+ * through the same acceptedDrafts() query the engine resolves with.
  * The analytic leg of a spec-enabled scenario replays these through
  * Config::spec.oracle so both paths take bit-identical
  * variable-token decode steps.
@@ -160,13 +161,17 @@ class RecordingBackend : public serve::RuntimeBackend
     {
     }
 
-    std::int64_t speculate(const serve::Request &request,
-                           std::int64_t draft_tokens) override
+    void onPlan(const serve::IterationPlan &plan,
+                const std::vector<serve::Request> &requests,
+                const serve::AdmissionController &admission) override
     {
-        const std::int64_t accepted =
-            RuntimeBackend::speculate(request, draft_tokens);
-        accepts_[request.id].push_back(accepted);
-        return accepted;
+        RuntimeBackend::onPlan(plan, requests, admission);
+        for (std::size_t i = 0; i < plan.specDrafts.size(); ++i) {
+            if (plan.specDrafts[i] == 0)
+                continue;
+            const serve::Request &request = requests[plan.decode[i]];
+            accepts_[request.id].push_back(acceptedDrafts(request));
+        }
     }
 
   private:
