@@ -8,7 +8,6 @@
 #include "base/logging.hh"
 #include "base/rng.hh"
 #include "cluster/hash_ring.hh"
-#include "core/capacity_planner.hh"
 #include "hw/catalog.hh"
 #include "obs/series.hh"
 #include "obs/sink.hh"
@@ -145,27 +144,8 @@ ClusterRouter::ClusterRouter(const hw::SystemConfig &system,
 
     // Same SLO-derived batch cap ServingEngine computes, against the
     // platform the replicas actually run on (pooled when sharded).
-    if (config_.engine.policy == serve::SchedulerPolicy::SloAware &&
-        config_.engine.slo.e2e > 0) {
-        const std::int64_t typical_out =
-            config_.engine.trace == trace::TraceKind::Code
-                ? 32
-                : (config_.engine.trace ==
-                           trace::TraceKind::Conversation
-                       ? 256
-                       : 144);
-        core::PlannerRequest request;
-        request.lOut = std::min<std::int64_t>(
-            typical_out, config_.engine.maxContext / 4);
-        request.lIn = (config_.engine.maxContext - request.lOut) / 2;
-        request.latencySlo = config_.engine.slo.e2e;
-        request.maxBatch = config_.engine.maxBatch;
-        const auto planned =
-            core::CapacityPlanner(engine_.system(), model_)
-                .plan(request);
-        if (planned.feasible)
-            plannerCap_ = planned.best.batch;
-    }
+    plannerCap_ =
+        serve::plannerBatchCap(engine_.system(), model_, config_.engine);
 }
 
 // --- Replica lifecycle ------------------------------------------------

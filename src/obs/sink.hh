@@ -15,8 +15,8 @@
  * seconds. A sink never interprets the axis, it only records it.
  *
  * Concrete sinks: obs::ChromeTraceWriter (chrome://tracing / Perfetto
- * JSON), obs::SeriesRegistry (counter time series), obs::NullSink
- * (explicit no-op), obs::TeeSink (fan-out).
+ * JSON), obs::SeriesRegistry (counter time series) and obs::TeeSink
+ * (fan-out). No sink at all (a null pointer) is the no-op.
  */
 
 #ifndef LIA_OBS_SINK_HH
@@ -118,20 +118,6 @@ class EventSink
     /** One sample of the counter @p name (a Perfetto counter track). */
     virtual void counter(Track track, const char *name, double seconds,
                          double value) = 0;
-};
-
-/** The explicit do-nothing sink (for symmetry tests and defaults). */
-class NullSink final : public EventSink
-{
-  public:
-    void setTrackName(Track, const std::string &,
-                      const std::string &) override
-    {
-    }
-    void beginSpan(Track, const char *, double, Args) override {}
-    void endSpan(Track, double) override {}
-    void instant(Track, const char *, double, Args) override {}
-    void counter(Track, const char *, double, double) override {}
 };
 
 /** Fans every event out to a list of child sinks (none owned). */

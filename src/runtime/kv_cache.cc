@@ -304,25 +304,17 @@ KvCache::copyLayer(std::int64_t layer, const std::vector<Tensor> &side) const
     return out;
 }
 
-KvSnapshot
-KvCache::evict()
+void
+KvCache::clear()
 {
     LIA_ASSERT(nextLayer_ == 0 && pendingTokens_ == 0,
-               "evicting a cache mid-step (", nextLayer_,
+               "clearing a cache mid-step (", nextLayer_,
                " layers appended)");
-    allocate();  // the snapshot always carries full-geometry tensors
-    KvSnapshot snapshot;
-    snapshot.length = length_;
-    snapshot.bytes = bf16Bytes();
-    snapshot.keys = std::move(keys_);
-    snapshot.values = std::move(values_);
-
-    // The next write allocates fresh storage; until then the evicted
+    // The next write allocates fresh storage; until then the cleared
     // cache holds none.
-    keys_.clear();
-    values_.clear();
+    keys_ = {};
+    values_ = {};
     length_ = 0;
-    return snapshot;
 }
 
 void
@@ -387,31 +379,6 @@ KvCache::preload(const KvSpan &span)
         }
     }
     length_ += span.length;
-    return true;
-}
-
-bool
-KvCache::restore(KvSnapshot &snapshot)
-{
-    if (length_ > 0 || nextLayer_ > 0 || pendingTokens_ > 0)
-        return false;  // occupied caches refuse a restore
-    if (snapshot.empty() ||
-        snapshot.keys.size() !=
-            static_cast<std::size_t>(config_.numLayers) ||
-        snapshot.values.size() != snapshot.keys.size())
-        return false;
-    if (snapshot.length > maxLen_)
-        return false;
-    for (const Tensor &k : snapshot.keys) {
-        if (k.ndim() != 3 || k.dim(0) != batch_ ||
-            k.dim(1) != maxLen_ || k.dim(2) != config_.kvDim())
-            return false;
-    }
-
-    keys_ = std::move(snapshot.keys);
-    values_ = std::move(snapshot.values);
-    length_ = snapshot.length;
-    snapshot = KvSnapshot{};
     return true;
 }
 

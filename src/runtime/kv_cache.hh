@@ -7,13 +7,13 @@
  * motivates the paper's host-side offloading: its byte count feeds the
  * footprint checks and the transfer accounting.
  *
- * A cache can additionally be evicted — its contents move out as a
- * KvSnapshot (the swap-to-CXL parking operation) or are simply
- * discarded (evict-and-recompute) — and later restored bit-identically
- * from the snapshot. The serving runtime backend drives these entry
- * points from scheduler preemption decisions. Token ranges copy out
- * as BF16-width KvSpans, the shared-prefix payload, and preload back
- * bit-identically.
+ * Token ranges copy out as BF16-width KvSpans and preload back
+ * bit-identically. The span is the one out-of-cache KV format: it is
+ * the shared-prefix payload and the parked form of a swapped-out cache
+ * (snapshotRange over the whole cache, then clear(); preload brings it
+ * back). clear() alone is the evict-and-recompute exit. The serving
+ * runtime backend drives these entry points from scheduler preemption
+ * decisions.
  */
 
 #ifndef LIA_RUNTIME_KV_CACHE_HH
@@ -33,31 +33,14 @@ class ThreadPool;
 namespace runtime {
 
 /**
- * Contents moved out of an evicted KvCache: the parked form a
- * swapped-out cache takes while it lives in the CXL pool. It adopts
- * the cache's full-geometry FP32 buffers, so evict() and restore()
- * move storage without copying it. The bytes field records the BF16
- * footprint at eviction time, so byte accounting can assert
- * freed == restored.
- */
-struct KvSnapshot
-{
-    std::int64_t length = 0;     //!< context tokens parked
-    double bytes = 0;            //!< BF16 bytes at eviction
-    std::vector<Tensor> keys;    //!< per layer (B, maxLen, kvDim)
-    std::vector<Tensor> values;
-
-    bool empty() const { return keys.empty(); }
-};
-
-/**
  * Compact copy of a token range of a KvCache, held at BF16 width: the
- * prefix-cache node payload. Every FP32 value is split into its high
- * 16 bits (its BF16 truncation) and its low 16 bits; the low plane is
- * stored only when some value of the span has non-zero low bits, so
- * any float, NaN payloads included, round-trips bit-exactly. The
- * executor rounds K/V through BF16, so a served span holds the high
- * plane alone: exactly the BF16 bytes the admission ledger charges.
+ * prefix-cache node payload and the parked form of a swapped-out
+ * cache. Every FP32 value is split into its high 16 bits (its BF16
+ * truncation) and its low 16 bits; the low plane is stored only when
+ * some value of the span has non-zero low bits, so any float, NaN
+ * payloads included, round-trips bit-exactly. The executor rounds K/V
+ * through BF16, so a served span holds the high plane alone: exactly
+ * the BF16 bytes the admission ledger charges.
  *
  * Both planes are laid out [layer][K, V][batch row][token][kvDim].
  */
@@ -102,7 +85,7 @@ struct KvSpan
  * Read-only view of one batch row of one layer's K and V, in place in
  * a KvCache. Token i starts at `k + i * rowStride` (likewise for v)
  * and holds rowStride floats. The view stays valid until the cache is
- * next appended to, evicted or restored.
+ * next appended to, preloaded or cleared.
  */
 struct KvLayerView
 {
@@ -125,8 +108,7 @@ class KvCache
   public:
     /**
      * A cache of @p max_len tokens per batch row. Its storage is
-     * allocated by the first append() or preload(); restore() adopts
-     * the snapshot's tensors instead.
+     * allocated by the first append() or preload().
      */
     KvCache(const model::ModelConfig &config, std::int64_t batch,
             std::int64_t max_len);
@@ -172,36 +154,29 @@ class KvCache
     // --- Eviction / restoration entry points -------------------------
 
     /**
-     * Move the stored KV out, leaving this cache empty but reusable:
-     * it holds no storage until its next write. The snapshot's bytes
-     * equal bf16Bytes() at the call. Evicting mid-step (layers
-     * partially appended) is a bug and panics.
+     * Drop the stored KV and its storage, leaving this cache empty but
+     * reusable: it holds nothing until its next write. Clearing
+     * mid-step (layers partially appended) is a bug and panics.
      */
-    KvSnapshot evict();
+    void clear();
 
     /**
      * Copy of tokens [@p start, @p end) across all layers, narrowed
-     * straight from the cache rows into a KvSpan. The source cache is
-     * untouched. Shared prefix-cache nodes are built from these spans.
+     * straight from the cache rows into a KvSpan whose bytes equal
+     * bf16Bytes() over that range. The source cache is untouched.
+     * Shared prefix-cache nodes and parked swapped-out caches are
+     * built from these spans.
      */
     KvSpan snapshotRange(std::int64_t start, std::int64_t end) const;
 
     /**
      * Append a span at the current end of the cache, widened straight
      * into the cache rows, as if its tokens had been produced by
-     * prefill — the shared-prefix attach path. Fails cleanly (returns
-     * false, cache untouched) when called mid-step or when the span is
-     * empty or its geometry does not fit.
+     * prefill — the shared-prefix attach and swap-in path. Fails
+     * cleanly (returns false, cache untouched) when called mid-step
+     * or when the span is empty or its geometry does not fit.
      */
     bool preload(const KvSpan &span);
-
-    /**
-     * Restore an evicted snapshot. Fails cleanly — returns false and
-     * leaves both the cache and the snapshot untouched — when the
-     * cache is not empty (a "full" cache cannot absorb a restore) or
-     * the snapshot's geometry does not match this cache.
-     */
-    bool restore(KvSnapshot &snapshot);
 
     /**
      * Roll the context back to @p new_length tokens, discarding the
@@ -257,7 +232,7 @@ class KvCache
     std::int64_t pendingTokens_ = 0;  //!< tokens appended this step
     std::int64_t nextLayer_ = 0;      //!< append cursor
     /** Per layer (B, maxLen, kvDim); empty until the first write and
-     *  again after evict(), so an idle or parked cache holds no KV. */
+     *  again after clear(), so an idle or parked cache holds no KV. */
     std::vector<Tensor> keys_;
     std::vector<Tensor> values_;
 };

@@ -9,15 +9,17 @@
  *  - onPlan(): once per scheduler-committed plan, after the request
  *    pools and the admission byte account reflect the plan but before
  *    simulated time advances — the backend performs the prefill
- *    chunks, decode steps, speculative draft + verify steps, and
- *    preemption transitions the plan lists;
+ *    chunks, decode entries and preemption transitions the plan
+ *    lists. Every decode entry is a speculative draft + verify step
+ *    of IterationPlan::specDrafts[i] drafts, a plain decode being the
+ *    k = 0 case;
  *  - onFinish(): when a request completes and hands its KV back;
  *  - onDrain(): once the event queue empties, for leak checks.
  *
- * Right after onPlan() the engine resolves the plan's speculation,
- * asking acceptedDrafts() for every speculative entry; a backend that
- * runs no speculation answers -1 and the engine's acceptance oracle
- * decides instead.
+ * Right after onPlan() the engine resolves every decode entry, asking
+ * acceptedDrafts() for each one with k > 0 (a k = 0 entry accepts
+ * 0); a backend that runs no speculation answers -1 and the engine's
+ * acceptance oracle decides instead.
  *
  * Backends must be passive with respect to scheduling: a run with a
  * backend attached must produce bit-identical scheduling decisions,

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "base/logging.hh"
-#include "core/capacity_planner.hh"
 #include "serve/backend.hh"
 #include "serve/instance.hh"
 #include "sim/arrivals.hh"
@@ -36,28 +35,7 @@ ServingEngine::ServingEngine(
     config_.maxContext =
         std::min(config_.maxContext, model_.maxSeqLen);
 
-    // SLO-aware scheduling caps batch growth with the capacity
-    // planner's latency estimates: the largest batch whose whole-run
-    // latency at the trace's typical shape meets the end-to-end SLO.
-    if (config_.policy == SchedulerPolicy::SloAware &&
-        config_.slo.e2e > 0) {
-        const std::int64_t typical_out =
-            config_.trace == trace::TraceKind::Code
-                ? 32
-                : (config_.trace == trace::TraceKind::Conversation
-                       ? 256
-                       : 144);
-        core::PlannerRequest request;
-        request.lOut = std::min<std::int64_t>(typical_out,
-                                              config_.maxContext / 4);
-        request.lIn = (config_.maxContext - request.lOut) / 2;
-        request.latencySlo = config_.slo.e2e;
-        request.maxBatch = config_.maxBatch;
-        const auto planned =
-            core::CapacityPlanner(system_, model_).plan(request);
-        if (planned.feasible)
-            plannerCap_ = planned.best.batch;
-    }
+    plannerCap_ = plannerBatchCap(system_, model_, config_);
 }
 
 Result

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "base/logging.hh"
+#include "core/capacity_planner.hh"
 #include "obs/sink.hh"
 #include "serve/backend.hh"
 #include "serve/slo_monitor.hh"
@@ -69,6 +70,27 @@ pricingEngineConfig(const hw::SystemConfig &system,
     // prices when a scenario actually carries draft tokens.
     cfg.specDraftModel = model::draftModelConfig(model);
     return cfg;
+}
+
+std::int64_t
+plannerBatchCap(const hw::SystemConfig &system,
+                const model::ModelConfig &model, const Config &config)
+{
+    if (config.policy != SchedulerPolicy::SloAware || config.slo.e2e <= 0)
+        return 0;
+    const std::int64_t typical_out =
+        config.trace == trace::TraceKind::Code
+            ? 32
+            : (config.trace == trace::TraceKind::Conversation ? 256
+                                                              : 144);
+    core::PlannerRequest request;
+    request.lOut =
+        std::min<std::int64_t>(typical_out, config.maxContext / 4);
+    request.lIn = (config.maxContext - request.lOut) / 2;
+    request.latencySlo = config.slo.e2e;
+    request.maxBatch = config.maxBatch;
+    const auto planned = core::CapacityPlanner(system, model).plan(request);
+    return planned.feasible ? planned.best.batch : 0;
 }
 
 EngineInstance::EngineInstance(const hw::SystemConfig &system,
@@ -422,8 +444,7 @@ EngineInstance::startIteration()
         backend_->onPlan(plan, requests_, admission_);
     // Speculation resolves after execution: the backend verified
     // every speculative entry inside onPlan's forward pass.
-    if (!plan.specDrafts.empty())
-        resolveSpeculation(plan);
+    resolveSpeculation(plan);
 
     if (plan.computeIdle()) {
         inFlight_ = false;
@@ -590,7 +611,8 @@ EngineInstance::resolveSpeculation(IterationPlan &plan)
         Request &request = requests_[plan.decode[i]];
         const std::int64_t k = plan.specDrafts[i];
         if (k == 0) {
-            // Plain decode step (one token would finish the request).
+            // Plain decode step: speculation is off, or one token
+            // finishes the request.
             plan.specAccepted.push_back(0);
             continue;
         }
@@ -653,11 +675,9 @@ EngineInstance::completeIteration(const IterationPlan &plan)
     const double now = events_.now();
     for (std::size_t i = 0; i < plan.decode.size(); ++i) {
         Request &request = requests_[plan.decode[i]];
-        // A speculative entry emits its accepted drafts plus the
-        // correction/bonus token in one step; plain decode emits one.
-        const std::int64_t emitted =
-            plan.specAccepted.empty() ? 1 : plan.specAccepted[i] + 1;
-        for (std::int64_t t = 0; t < emitted; ++t) {
+        // Each entry emits its accepted drafts plus the correction or
+        // bonus token in one step; a plain decode (k = 0) emits one.
+        for (std::int64_t t = 0; t <= plan.specAccepted[i]; ++t) {
             ++request.generated;
             tokenEmitted(request, now);
         }

@@ -50,6 +50,18 @@ core::EngineConfig pricingEngineConfig(const hw::SystemConfig &system,
                                        const model::ModelConfig &model,
                                        const Config &config);
 
+/**
+ * The SLO-aware scheduler's static batch cap from the capacity
+ * planner: the largest batch whose whole-run latency at the trace's
+ * typical shape meets Config::slo.e2e on @p system. 0 (no cap) unless
+ * the policy is SloAware with an end-to-end target and some batch is
+ * feasible. @p config's maxContext must already be clamped to the
+ * model's window. Shared by ServingEngine and the cluster router.
+ */
+std::int64_t plannerBatchCap(const hw::SystemConfig &system,
+                             const model::ModelConfig &model,
+                             const Config &config);
+
 /** One engine advancing on a caller-owned DES clock. */
 class EngineInstance
 {
@@ -149,9 +161,10 @@ class EngineInstance
     void startIteration();
 
     /**
-     * Resolve the committed plan's speculative decode entries: ask
-     * the backend how many drafts its verify accepted (or fall back
-     * to the acceptance oracle), fill IterationPlan::specAccepted,
+     * Resolve every decode entry of the committed plan, a k = 0 entry
+     * to 0 accepted drafts. For a speculative entry ask the backend
+     * how many drafts its verify accepted (or fall back to the
+     * acceptance oracle), fill IterationPlan::specAccepted,
      * settle the worst-case reservation back to the verified token
      * count, and account the per-request / run metrics. Runs right
      * after onPlan() and before pricing; nothing in between reads

@@ -128,13 +128,16 @@ RuntimeBackend::RuntimeBackend(const hw::SystemConfig &system,
                   "analytically (no backend) or quantize to int8");
     // The draft proposer shares the kernel pool with the target
     // executor; its weights are an independent random draw (the draft
-    // is a different model, not a slice of the target).
+    // is a different model, not a slice of the target). It never
+    // profiles: a profiling executor installs itself as the pool's
+    // one observer, which would take the slot from the target's
+    // profiler, and nothing reads the draft's.
     if (config_.spec.enabled)
         draft_ = std::make_unique<runtime::DraftModel>(
             system,
             synthWeights(model::draftModelConfig(model_),
                          config.seed + 0xd2afULL),
-            backendExecutorConfig(kernelPool_, profile_kernels,
+            backendExecutorConfig(kernelPool_, false,
                                   model::draftModelConfig(model_)));
 }
 
@@ -314,7 +317,8 @@ RuntimeBackend::onPlan(const IterationPlan &plan,
         seq.parkedDigest = seq.cache->fingerprint(-1, kernelPool_.get());
         seq.draftCache.reset();
         ddrBytes_ -= seq.cache->bf16Bytes();
-        seq.parked = seq.cache->evict();
+        seq.parked = seq.cache->snapshotRange(0, seq.cache->length());
+        seq.cache->clear();
         swapBytes_ += seq.parked.bytes;
         LIA_ASSERT(sameBytes(seq.parked.bytes, request.kvSwappedBytes),
                    "swap-out parked ", seq.parked.bytes,
@@ -340,10 +344,8 @@ RuntimeBackend::onPlan(const IterationPlan &plan,
                    "evicted cache holds ", seq.evictedLength,
                    " tokens but the recompute pass targets ",
                    request.prefillTarget);
-        double freed = seq.cache->bf16Bytes();
-        runtime::KvSnapshot discarded = seq.cache->evict();
-        LIA_ASSERT(sameBytes(discarded.bytes, freed), "evict mismatch");
-        ddrBytes_ -= freed;
+        ddrBytes_ -= seq.cache->bf16Bytes();
+        seq.cache->clear();
         LIA_ASSERT(request.kvReservedBytes == 0,
                    "evicted request still holds a DDR reservation");
         ++counters_.evictions;
@@ -355,13 +357,15 @@ RuntimeBackend::onPlan(const IterationPlan &plan,
         LIA_ASSERT(!seq.parked.empty(), "swap-in of request ",
                    request.id, " with nothing parked");
         const double bytes = seq.parked.bytes;
-        LIA_ASSERT(seq.cache->restore(seq.parked),
+        LIA_ASSERT(seq.cache->length() == 0 &&
+                       seq.cache->preload(seq.parked),
                    "restoring request ", request.id,
                    " into its empty cache failed");
         LIA_ASSERT(seq.cache->fingerprint(-1, kernelPool_.get()) ==
                        seq.parkedDigest,
                    "request ", request.id,
                    "'s KV changed across swap-out/swap-in");
+        seq.parked = {};
         swapBytes_ -= bytes;
         ddrBytes_ += seq.cache->bf16Bytes();
         LIA_ASSERT(sameBytes(bytes, request.kvReservedBytes),
@@ -413,17 +417,18 @@ RuntimeBackend::onPlan(const IterationPlan &plan,
                    seq.prompt.size() + seq.outputs.size());
     }
 
-    // Every speculative verify, prefill chunk and plain decode of the
-    // plan runs in one forward pass (DESIGN.md §6), so the iteration
-    // streams the weights once: verifies first in decode order, then
-    // chunks in plan order, then plain decodes, the feed order the
-    // ledger charges in. Each entry is checked against its sequence's
-    // state before the pass and completed after it.
+    // Every decode entry and prefill chunk of the plan runs in one
+    // forward pass (DESIGN.md §6), so the iteration streams the
+    // weights once: decode entries first in plan order, then chunks in
+    // plan order, the feed order the ledger charges in. A decode entry
+    // is a speculative step of k = specDrafts[i] drafts, and a plain
+    // decode is its k = 0 case. Each entry is checked against its
+    // sequence's state before the pass and completed after it.
+    LIA_ASSERT(plan.specDrafts.size() == plan.decode.size(),
+               "spec drafts out of step with the decode list");
     std::vector<runtime::ForwardFeed> feeds;
-    std::vector<std::size_t> verifying, decoding;
     for (std::size_t i = 0; i < plan.decode.size(); ++i) {
-        const std::size_t index = plan.decode[i];
-        const Request &request = requests[index];
+        const Request &request = requests[plan.decode[i]];
         Sequence &seq = sequence(request.id);
         LIA_ASSERT(request.generated ==
                        static_cast<std::int64_t>(seq.outputs.size()),
@@ -436,30 +441,28 @@ RuntimeBackend::onPlan(const IterationPlan &plan,
                                seq.outputs.size()) - 1,
                    "decode of request ", request.id,
                    " starts from a diverged KV length");
-        const std::int64_t spec_k =
-            plan.specDrafts.empty() ? 0 : plan.specDrafts[i];
-        if (spec_k == 0) {
-            decoding.push_back(index);
-            continue;
+        // Feed [last, d1..dk], the k drafts proposed by the CPU-side
+        // draft model, sampling every position when k > 0.
+        const std::int64_t k = plan.specDrafts[i];
+        std::vector<std::int64_t> tokens;
+        if (k > 0) {
+            LIA_ASSERT(draft_ != nullptr,
+                       "speculative plan on a backend built with spec "
+                       "disabled");
+            if (!seq.draftCache)
+                seq.draftCache =
+                    draft_->makeCache(request.lIn + request.lOut);
+            const auto stream = static_cast<std::int64_t>(
+                seq.prompt.size() + seq.outputs.size());
+            tokens = draft_->propose(
+                *seq.draftCache,
+                streamSlice(seq.prompt, seq.outputs,
+                            seq.draftCache->length(), stream),
+                k);
         }
-        // Draft k tokens on the CPU-side draft model, then score them
-        // as a feed of [last, d1..dk] sampling every position.
-        LIA_ASSERT(draft_ != nullptr,
-                   "speculative plan on a backend built with spec "
-                   "disabled");
-        if (!seq.draftCache)
-            seq.draftCache = draft_->makeCache(request.lIn + request.lOut);
-        const auto stream = static_cast<std::int64_t>(
-            seq.prompt.size() + seq.outputs.size());
-        std::vector<std::int64_t> tokens = draft_->propose(
-            *seq.draftCache,
-            streamSlice(seq.prompt, seq.outputs, seq.draftCache->length(),
-                        stream),
-            spec_k);
         tokens.insert(tokens.begin(), seq.outputs.back());
         feeds.push_back({seq.cache.get(), std::move(tokens),
-                         model::Stage::Decode, true});
-        verifying.push_back(index);
+                         model::Stage::Decode, k > 0});
     }
 
     for (const PrefillChunk &chunk : plan.chunks) {
@@ -480,50 +483,49 @@ RuntimeBackend::onPlan(const IterationPlan &plan,
                          model::Stage::Prefill});
     }
 
-    for (std::size_t index : decoding) {
-        const Sequence &seq = sequence(requests[index].id);
-        feeds.push_back({seq.cache.get(), {seq.outputs.back()},
-                         model::Stage::Decode});
-    }
-
     const std::vector<std::int64_t> sampled =
         feeds.empty() ? std::vector<std::int64_t>{}
                       : executor_.forward(feeds);
     auto next = sampled.begin();
 
-    // The verify feeds lead the pass, so feeds[v] is verifying[v]'s.
-    for (std::size_t v = 0; v < verifying.size(); ++v) {
-        const Request &request = requests[verifying[v]];
+    // The decode feeds lead the pass, so feeds[i] is decode[i]'s.
+    for (std::size_t i = 0; i < plan.decode.size(); ++i) {
+        const Request &request = requests[plan.decode[i]];
         Sequence &seq = sequence(request.id);
-        const auto drafts = std::span(feeds[v].tokens).subspan(1);
+        const auto drafts = std::span(feeds[i].tokens).subspan(1);
         const auto k = static_cast<std::int64_t>(drafts.size());
         const std::span<const std::int64_t> samples(
             next, static_cast<std::size_t>(k + 1));
         next += k + 1;
-        const std::int64_t accepted =
-            runtime::greedyAccepted(samples, drafts);
-        // Roll the k - accepted rejected positions out of both caches:
-        // the target keeps the accepted drafts plus the slot the
-        // correction or bonus token just filled.
-        seq.cache->truncate(seq.cache->length() - (k - accepted));
-        runtime::DraftModel::truncateAfterVerify(
-            *seq.draftCache,
-            static_cast<std::int64_t>(seq.prompt.size() +
-                                      seq.outputs.size()),
-            accepted, k);
+        std::int64_t accepted = 0;
+        if (k > 0) {
+            accepted = runtime::greedyAccepted(samples, drafts);
+            // Roll the k - accepted rejected positions out of both
+            // caches: the target keeps the accepted drafts plus the
+            // slot the correction or bonus token just filled.
+            seq.cache->truncate(seq.cache->length() - (k - accepted));
+            runtime::DraftModel::truncateAfterVerify(
+                *seq.draftCache,
+                static_cast<std::int64_t>(seq.prompt.size() +
+                                          seq.outputs.size()),
+                accepted, k);
+            seq.accepted = accepted;
+            ++counters_.specSteps;
+            counters_.specDrafted += static_cast<std::uint64_t>(k);
+            counters_.specAccepted += static_cast<std::uint64_t>(accepted);
+            counters_.specTokens +=
+                static_cast<std::uint64_t>(accepted + 1);
+        } else {
+            ++counters_.decodeSteps;
+        }
         seq.outputs.insert(seq.outputs.end(), samples.begin(),
                            samples.begin() + accepted + 1);
-        seq.accepted = accepted;
         ddrBytes_ += perToken * static_cast<double>(accepted + 1);
-        ++counters_.specSteps;
-        counters_.specDrafted += static_cast<std::uint64_t>(k);
-        counters_.specAccepted += static_cast<std::uint64_t>(accepted);
-        counters_.specTokens += static_cast<std::uint64_t>(accepted + 1);
         LIA_ASSERT(seq.cache->length() ==
                        request.lIn +
                            static_cast<std::int64_t>(
                                seq.outputs.size()) - 1,
-                   "verify KV length diverged for request ",
+                   "decode KV length diverged for request ",
                    request.id);
         if (optimistic) {
             // The scheduler grew the reservation by the worst-case
@@ -533,14 +535,14 @@ RuntimeBackend::onPlan(const IterationPlan &plan,
                                      perToken * static_cast<double>(
                                                     k - accepted),
                                  request.kvReservedBytes),
-                       "verify: cache ", seq.cache->bf16Bytes(),
+                       "decode: cache ", seq.cache->bf16Bytes(),
                        " bytes, ", k - accepted,
                        " rejected drafts vs reservation ",
                        request.kvReservedBytes);
         } else {
             LIA_ASSERT(seq.cache->bf16Bytes() <=
                            request.kvReservedBytes + 0.5,
-                       "verify grew past the full-horizon reservation");
+                       "cache grew past the full-horizon reservation");
         }
     }
 
@@ -582,32 +584,6 @@ RuntimeBackend::onPlan(const IterationPlan &plan,
         }
     }
 
-    for (std::size_t index : decoding) {
-        const Request &request = requests[index];
-        Sequence &seq = sequence(request.id);
-        seq.outputs.push_back(*next++);
-        ddrBytes_ += perToken;
-        ++counters_.decodeSteps;
-        LIA_ASSERT(seq.cache->length() ==
-                       request.lIn +
-                           static_cast<std::int64_t>(
-                               seq.outputs.size()) - 1,
-                   "decode KV length diverged for request ",
-                   request.id);
-        if (optimistic) {
-            // The scheduler grew the reservation by exactly this
-            // step's token before committing the plan.
-            LIA_ASSERT(sameBytes(seq.cache->bf16Bytes(),
-                                 request.kvReservedBytes),
-                       "decode: cache ", seq.cache->bf16Bytes(),
-                       " bytes vs reservation ",
-                       request.kvReservedBytes);
-        } else {
-            LIA_ASSERT(seq.cache->bf16Bytes() <=
-                           request.kvReservedBytes + 0.5,
-                       "cache grew past the full-horizon reservation");
-        }
-    }
     LIA_ASSERT(next == sampled.end(), "forward sampled ", sampled.size(),
                " tokens the plan did not consume");
 

@@ -5,13 +5,15 @@
  *
  * The backend keeps one single-sequence runtime::KvCache per admitted
  * request and drives runtime::CooperativeExecutor through exactly the
- * work the plan lists: evict-and-recompute and swap-to-CXL parking
- * via KvCache::evict()/restore(), then one forward pass per plan over
- * every speculative verify, prefill chunk (fresh and recompute) and
- * plain decode step it lists, each sequence feeding its own tokens
- * against its own cache. A speculative step drafts its k tokens on
- * the draft model first and feeds [last, d1..dk] sampling every
- * position; acceptedDrafts() then tells the engine how many held.
+ * work the plan lists: evict-and-recompute (KvCache::clear()) and
+ * swap-to-CXL parking (the whole cache copied out as a BF16-width
+ * runtime::KvSpan, then cleared; preload() brings it back), then one
+ * forward pass per plan over every decode entry and prefill chunk
+ * (fresh and recompute) it lists, each sequence feeding its own tokens
+ * against its own cache. Every decode entry is a speculative step of
+ * k drafts, a plain decode being k = 0: it drafts its k tokens on the
+ * draft model first and feeds [last, d1..dk], sampling every position
+ * when k > 0; acceptedDrafts() then tells the engine how many held.
  * Prompts are synthesized deterministically from the request id, so
  * the same served workload always decodes the same greedy token
  * streams.
@@ -174,7 +176,7 @@ class RuntimeBackend : public ExecutionBackend
         std::int64_t evictedLength = 0;   //!< tokens the pass restores
         std::uint64_t evictedDigest = 0;  //!< their fingerprint
 
-        runtime::KvSnapshot parked;       //!< swapped-out contents
+        runtime::KvSpan parked;           //!< swapped-out contents
         std::uint64_t parkedDigest = 0;
 
         /**

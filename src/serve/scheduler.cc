@@ -87,6 +87,15 @@ Scheduler::recomputeCost(const Request &request) const
 }
 
 void
+Scheduler::setDecode(IterationPlan &plan, std::vector<std::size_t> decode,
+                     const std::vector<Request> &requests) const
+{
+    plan.decode = std::move(decode);
+    for (std::size_t index : plan.decode)
+        plan.specDrafts.push_back(specDraftTokensFor(requests[index]));
+}
+
+void
 Scheduler::addChunk(IterationPlan &plan, std::size_t index,
                     const Request &request) const
 {
@@ -198,13 +207,9 @@ Scheduler::next(double now, const SchedulerState &state,
             // Cohort in flight: decode everyone still running, priced
             // at the cohort's *initial* size — finished requests do
             // not give their slot back until the whole cohort drains.
-            plan.decode = active;
+            setDecode(plan, active, requests);
             plan.decodePriceBatch = staticCohort_;
             plan.batchCap = config_.maxBatch;
-            if (config_.spec.enabled)
-                for (std::size_t index : plan.decode)
-                    plan.specDrafts.push_back(
-                        specDraftTokensFor(requests[index]));
             return plan;
         }
         for (std::size_t index : queue) {
@@ -230,18 +235,16 @@ Scheduler::next(double now, const SchedulerState &state,
     // iteration, in-flight prefills continue their chunks, and the
     // batch is topped up from the queue.
     const bool slo = config_.policy == SchedulerPolicy::SloAware;
+    std::vector<std::size_t> decode;
     for (std::size_t index : active) {
         if (requests[index].inPrefill())
             addChunk(plan, index, requests[index]);
         else
-            plan.decode.push_back(index);
+            decode.push_back(index);
     }
+    setDecode(plan, std::move(decode), requests);
     plan.decodePriceBatch =
         static_cast<std::int64_t>(plan.decode.size());
-    if (config_.spec.enabled)
-        for (std::size_t index : plan.decode)
-            plan.specDrafts.push_back(
-                specDraftTokensFor(requests[index]));
 
     std::int64_t cap = config_.maxBatch;
     if (slo && plannerCap_ > 0)
@@ -386,13 +389,9 @@ Scheduler::nextPreemptive(double now, const SchedulerState &state,
     for (std::size_t index : decode)
         admission_.grow(requests[index],
                         specDraftTokensFor(requests[index]) + 1);
-    plan.decode = std::move(decode);
+    setDecode(plan, std::move(decode), requests);
     plan.decodePriceBatch =
         static_cast<std::int64_t>(plan.decode.size());
-    if (config_.spec.enabled)
-        for (std::size_t index : plan.decode)
-            plan.specDrafts.push_back(
-                specDraftTokensFor(requests[index]));
 
     for (std::size_t index : prefilling)
         addChunk(plan, index, requests[index]);

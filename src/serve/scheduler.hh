@@ -68,22 +68,22 @@ struct IterationPlan
     std::vector<std::size_t> decode;
 
     /**
-     * Speculative draft tokens per decode entry (parallel to decode;
-     * empty when speculation is off). Entry i is k_eff for decode[i]:
+     * Speculative draft tokens per decode entry, always parallel to
+     * decode: every decode entry is a speculative step, and a plain
+     * decode is its k = 0 case. Entry i is k_eff for decode[i]:
      * Config::spec.draftTokens clamped so even full acceptance plus
-     * the bonus token never overshoots the request's lOut. 0 means
-     * that entry takes a plain decode step.
+     * the bonus token never overshoots the request's lOut, and 0
+     * whenever speculation is off.
      */
     std::vector<std::int64_t> specDrafts;
 
     /**
-     * Draft tokens accepted per decode entry (parallel to decode;
-     * empty when speculation is off). Filled by the engine's
-     * speculation resolution — the backend's executed verify or the
-     * acceptance oracle — after the backend's onPlan ran the plan and
-     * before the iteration is priced. Entry i emits
-     * specAccepted[i] + 1 tokens when specDrafts[i] > 0, else
-     * exactly 1.
+     * Draft tokens accepted per decode entry (parallel to decode once
+     * filled). Filled by the engine's speculation resolution — the
+     * backend's executed verify or the acceptance oracle — after the
+     * backend's onPlan ran the plan and before the iteration is
+     * priced; a k = 0 entry resolves to 0. Entry i emits
+     * specAccepted[i] + 1 tokens.
      */
     std::vector<std::int64_t> specAccepted;
 
@@ -214,6 +214,13 @@ class Scheduler
     void setPrefixCache(PrefixCache *cache) { cache_ = cache; }
 
   private:
+    /**
+     * Make @p decode @p plan's decode list, each entry with its
+     * specDraftTokensFor() draft count (0: a plain step).
+     */
+    void setDecode(IterationPlan &plan, std::vector<std::size_t> decode,
+                   const std::vector<Request> &requests) const;
+
     /** Append @p index's next prefill chunk to @p plan. */
     void addChunk(IterationPlan &plan, std::size_t index,
                   const Request &request) const;

@@ -227,14 +227,4 @@ TEST(ServingTraceTest, TracingNeverChangesResults)
     test::expectIdenticalRuns(a, b);
 }
 
-TEST(ServingTraceTest, NullSinkBehavesLikeNoSink)
-{
-    obs::NullSink null;
-    serve::Config with_null = tracedConfig();
-    with_null.sink = &null;
-    const auto a = runTraced(tracedConfig());
-    const auto b = runTraced(with_null);
-    test::expectIdenticalRuns(a, b);
-}
-
 } // namespace

@@ -190,7 +190,7 @@ TEST_F(ExecutorTest, EvictAndRecomputeReproducesTheGeneration)
 
     const auto parkedDigest = cache.fingerprint();
     const auto parkedLength = cache.length();
-    (void)cache.evict();  // discard, as evict-and-recompute does
+    cache.clear();  // discard, as evict-and-recompute does
 
     std::vector<std::int64_t> replay = prompt;
     replay.insert(replay.end(), out.begin(), out.end());

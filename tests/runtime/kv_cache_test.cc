@@ -171,9 +171,10 @@ TEST_F(KvCacheTest, ViewMatchesCopiesAcrossCacheOperations)
 
     const Tensor keys = cache.keys(2);
     const Tensor values = cache.values(2);
-    KvSnapshot parked = cache.evict();
+    const KvSpan parked = cache.snapshotRange(0, cache.length());
+    cache.clear();
     EXPECT_EQ(cache.view(2).length, 0);
-    ASSERT_TRUE(cache.restore(parked));
+    ASSERT_TRUE(cache.preload(parked));
     expectViewsMatchCopies(cache, m.numLayers);
     EXPECT_TRUE(bitIdentical(gather(cache, 2, false), keys));
     EXPECT_TRUE(bitIdentical(gather(cache, 2, true), values));
@@ -231,6 +232,9 @@ TEST_F(KvCacheTest, Bf16BytesMatchFormula)
 }
 
 // --- Eviction / restoration (the serving preemption entry points) ----
+// Evict-and-recompute clears the cache. A swap-out parks the whole
+// cache as a KvSpan (snapshotRange, then clear) and the swap-in
+// preloads it back into the empty cache.
 
 TEST_F(KvCacheTest, EvictFreesExactlyTheHeldBytesAndEmptiesTheCache)
 {
@@ -238,12 +242,14 @@ TEST_F(KvCacheTest, EvictFreesExactlyTheHeldBytesAndEmptiesTheCache)
     appendAllLayers(1, 2.0f);
     const double held = cache.bf16Bytes();
 
-    KvSnapshot snapshot = cache.evict();
-    EXPECT_DOUBLE_EQ(snapshot.bytes, held);
-    EXPECT_EQ(snapshot.length, 5);
-    EXPECT_FALSE(snapshot.empty());
+    const KvSpan parked = cache.snapshotRange(0, cache.length());
+    cache.clear();
+    EXPECT_DOUBLE_EQ(parked.bytes, held);
+    EXPECT_EQ(parked.length, 5);
+    EXPECT_FALSE(parked.empty());
     EXPECT_EQ(cache.length(), 0);
     EXPECT_DOUBLE_EQ(cache.bf16Bytes(), 0.0);
+    EXPECT_EQ(cache.view(0).k, nullptr);  // the storage went too
 }
 
 TEST_F(KvCacheTest, RestoreReturnsTheFreedBytesBitIdentically)
@@ -253,14 +259,14 @@ TEST_F(KvCacheTest, RestoreReturnsTheFreedBytesBitIdentically)
     const double held = cache.bf16Bytes();
     const std::uint64_t digest = cache.fingerprint();
 
-    KvSnapshot snapshot = cache.evict();
-    ASSERT_TRUE(cache.restore(snapshot));
-    // Bytes freed match bytes restored, contents are bit-identical,
-    // and the snapshot was consumed.
+    const KvSpan parked = cache.snapshotRange(0, cache.length());
+    cache.clear();
+    ASSERT_TRUE(cache.preload(parked));
+    // Bytes freed match bytes restored and contents are bit-identical.
     EXPECT_DOUBLE_EQ(cache.bf16Bytes(), held);
+    EXPECT_DOUBLE_EQ(parked.bytes, held);
     EXPECT_EQ(cache.length(), 5);
     EXPECT_EQ(cache.fingerprint(), digest);
-    EXPECT_TRUE(snapshot.empty());
     EXPECT_EQ(cache.keys(0).at(1, 4, 5), 2.0f);
     EXPECT_EQ(cache.values(0).at(1, 3, 5), 1.5f);
 }
@@ -268,7 +274,7 @@ TEST_F(KvCacheTest, RestoreReturnsTheFreedBytesBitIdentically)
 TEST_F(KvCacheTest, EvictedCacheRemainsUsableForRecompute)
 {
     appendAllLayers(3, 1.0f);
-    (void)cache.evict();  // discard = evict-and-recompute exit
+    cache.clear();  // the evict-and-recompute exit
     appendAllLayers(3, 4.0f);
     EXPECT_EQ(cache.length(), 3);
     EXPECT_EQ(cache.keys(0).at(0, 2, 0), 4.0f);
@@ -276,57 +282,28 @@ TEST_F(KvCacheTest, EvictedCacheRemainsUsableForRecompute)
 
 TEST_F(KvCacheTest, NeverWrittenCacheEvictsAndRestoresEmpty)
 {
-    // A cache holds no storage before its first write; evicting it
-    // still yields a full-geometry snapshot that restores cleanly.
+    // A cache holds no storage before its first write, and clearing
+    // it allocates none; it then takes appends and preloads as usual.
     EXPECT_EQ(cache.view(0).length, 0);
     EXPECT_EQ(cache.view(0).k, nullptr);
-    KvSnapshot snapshot = cache.evict();
-    EXPECT_FALSE(snapshot.empty());
-    EXPECT_EQ(snapshot.length, 0);
-    ASSERT_TRUE(cache.restore(snapshot));
+    cache.clear();
     EXPECT_EQ(cache.length(), 0);
+    EXPECT_EQ(cache.view(0).k, nullptr);
     appendAllLayers(2, 3.0f);
     EXPECT_EQ(cache.keys(3).at(1, 1, 0), 3.0f);
-}
 
-TEST_F(KvCacheTest, RestoreIntoAnOccupiedCacheFailsCleanly)
-{
-    appendAllLayers(2, 1.0f);
-    KvSnapshot snapshot = cache.evict();
-
-    appendAllLayers(3, 5.0f);  // cache is full again
-    const double before = cache.bf16Bytes();
-    EXPECT_FALSE(cache.restore(snapshot));
-    // Both sides untouched: the cache kept its contents, the snapshot
-    // its bytes — nothing was consumed or leaked by the failure.
-    EXPECT_EQ(cache.length(), 3);
-    EXPECT_DOUBLE_EQ(cache.bf16Bytes(), before);
-    EXPECT_FALSE(snapshot.empty());
-    EXPECT_EQ(snapshot.length, 2);
-}
-
-TEST_F(KvCacheTest, RestoreRejectsMismatchedGeometry)
-{
-    appendAllLayers(2, 1.0f);
-    KvSnapshot snapshot = cache.evict();
-
-    KvCache narrow(m, 1, 32);  // different batch width
-    EXPECT_FALSE(narrow.restore(snapshot));
-    EXPECT_FALSE(snapshot.empty());
-
-    KvCache small(m, 2, 1);    // snapshot no longer fits max_len
-    EXPECT_FALSE(small.restore(snapshot));
-    EXPECT_FALSE(snapshot.empty());
-
-    KvSnapshot empty;
-    EXPECT_FALSE(cache.restore(empty));
+    KvCache fresh(m, 2, 32);
+    fresh.clear();
+    ASSERT_TRUE(fresh.preload(cache.snapshotRange(0, 2)));
+    EXPECT_EQ(fresh.fingerprint(), cache.fingerprint());
 }
 
 TEST_F(KvCacheTest, EvictMidStepPanics)
 {
     detail::setThrowOnError(true);
     cache.append(0, filled(1, 0), filled(1, 0));  // layer 0 only
-    EXPECT_THROW(cache.evict(), std::logic_error);
+    EXPECT_THROW(cache.clear(), std::logic_error);
+    EXPECT_THROW(cache.snapshotRange(0, 1), std::logic_error);
     detail::setThrowOnError(false);
 }
 
@@ -433,11 +410,12 @@ TEST_F(KvCacheTest, TruncateComposesWithEvictAndRestore)
     const std::uint64_t digest = cache.fingerprint();
 
     // The truncated cache swaps out and back with only the surviving
-    // prefix: the snapshot carries 4 tokens, the restore fingerprints
-    // identically to the pre-swap truncated cache.
-    KvSnapshot parked = cache.evict();
+    // prefix: the parked span carries 4 tokens, the restore
+    // fingerprints identically to the pre-swap truncated cache.
+    const KvSpan parked = cache.snapshotRange(0, cache.length());
+    cache.clear();
     EXPECT_EQ(parked.length, 4);
-    ASSERT_TRUE(cache.restore(parked));
+    ASSERT_TRUE(cache.preload(parked));
     EXPECT_EQ(cache.length(), 4);
     EXPECT_EQ(cache.fingerprint(), digest);
 }

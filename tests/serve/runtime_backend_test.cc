@@ -2,9 +2,9 @@
  * @file
  * One forward pass per serving iteration (DESIGN.md §6).
  *
- * RuntimeBackend::onPlan runs every speculative verify, prefill chunk
- * and plain decode of a plan in a single CooperativeExecutor::forward
- * call. With kernel profiling on, each such plan must therefore make
+ * RuntimeBackend::onPlan runs every decode entry (a speculative verify
+ * or its k = 0 case, a plain decode) and prefill chunk of a plan in a
+ * single CooperativeExecutor::forward call. With kernel profiling on, each such plan must therefore make
  * exactly one pass's matmul_packed calls — one per projection per
  * layer plus the LM head — however many verifies, chunks and decodes
  * it carries, a plan with none must make none, and the whole run's
@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "base/thread_pool.hh"
 #include "obs/profiler.hh"
 #include "serve/engine.hh"
 #include "serve/runtime_backend.hh"
@@ -126,6 +127,14 @@ runCounted(const serve::Config &cfg)
     EXPECT_EQ(backend.counters().prefillChunks,
               result.metrics.prefillChunks);
     EXPECT_EQ(backend.counters().specSteps, result.metrics.specSteps);
+    // The target's profiler observes the shared pool's dispatches,
+    // speculation on or off; a one-thread pool runs every loop inline
+    // and dispatches none.
+    if (base::ThreadPool::shared().threadCount() > 1) {
+        EXPECT_GT(
+            backend.kernelProfiler()->calls("thread_pool.parallel_for"),
+            0u);
+    }
     return counting.plans;
 }
 

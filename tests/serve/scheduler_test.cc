@@ -216,4 +216,43 @@ TEST(SchedulerTest, ContinuousNeverShedsAndNeverCaps)
     EXPECT_EQ(plan.batchCap, cfg.maxBatch);
 }
 
+/**
+ * Every decode entry is a speculative step and a plain decode is its
+ * k = 0 case, so with speculation off every policy's plans carry one
+ * zero draft count per decode entry.
+ */
+TEST(SchedulerTest, SpecOffPlansCarryOneZeroDraftCountPerDecode)
+{
+    for (const auto policy : {serve::SchedulerPolicy::StaticFifo,
+                              serve::SchedulerPolicy::Continuous,
+                              serve::SchedulerPolicy::SloAware,
+                              serve::SchedulerPolicy::Preemptive}) {
+        SCOPED_TRACE(testing::Message()
+                     << "policy " << static_cast<int>(policy));
+        serve::Config cfg;
+        cfg.policy = policy;
+        cfg.maxBatch = 8;
+        ASSERT_FALSE(cfg.spec.enabled);
+        Harness h(cfg);
+        for (int i = 0; i < 3; ++i)
+            h.enqueue(256, 64);
+        const auto admitted = h.plan();
+        ASSERT_EQ(admitted.admit.size(), 3u);
+        EXPECT_EQ(admitted.specDrafts.size(), admitted.decode.size());
+
+        // The prompts finish their prefill and each has emitted its
+        // first token: the next plan decodes all three.
+        h.queue.clear();
+        h.active = admitted.admit;
+        for (std::size_t index : h.active) {
+            h.requests[index].prefilled = h.requests[index].prefillTarget;
+            h.requests[index].generated = 1;
+        }
+        const auto decoding = h.plan();
+        ASSERT_EQ(decoding.decode.size(), 3u);
+        EXPECT_EQ(decoding.specDrafts,
+                  std::vector<std::int64_t>(decoding.decode.size(), 0));
+    }
+}
+
 } // namespace
