@@ -3,23 +3,22 @@
  * Execution-backend interface of the serving engine.
  *
  * The serving engine prices every iteration analytically; a backend
- * additionally *executes* each committed iteration plan. The engine
- * invokes the backend at three points:
+ * additionally *executes* each committed iteration plan. An engine
+ * iteration runs the stages plan -> commit -> execute -> price ->
+ * record, and the engine invokes the backend at three points:
  *
- *  - onPlan(): once per scheduler-committed plan, after the request
- *    pools and the admission byte account reflect the plan but before
- *    simulated time advances — the backend performs the prefill
- *    chunks, decode entries and preemption transitions the plan
- *    lists. Every decode entry is a speculative draft + verify step
- *    of IterationPlan::specDrafts[i] drafts, a plain decode being the
- *    k = 0 case;
+ *  - onPlan(): first in the execute stage, once per non-idle plan —
+ *    after commit, so the request pools and the admission byte account
+ *    reflect the plan, and before simulated time advances. The backend
+ *    performs the preemption transitions, prefill chunks and decode
+ *    entries the plan lists. Every decode entry is a speculative
+ *    draft + verify step of IterationPlan::specDrafts[i] drafts, a
+ *    plain decode being the k = 0 case. Still in the execute stage,
+ *    the engine then asks acceptedDrafts() for every entry with k > 0
+ *    (a k = 0 entry accepts 0); a backend that runs no speculation
+ *    answers -1 and the engine's acceptance oracle decides instead;
  *  - onFinish(): when a request completes and hands its KV back;
  *  - onDrain(): once the event queue empties, for leak checks.
- *
- * Right after onPlan() the engine resolves every decode entry, asking
- * acceptedDrafts() for each one with k > 0 (a k = 0 entry accepts
- * 0); a backend that runs no speculation answers -1 and the engine's
- * acceptance oracle decides instead.
  *
  * Backends must be passive with respect to scheduling: a run with a
  * backend attached must produce bit-identical scheduling decisions,

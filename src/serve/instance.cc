@@ -55,6 +55,34 @@ oracleAccepted(std::uint64_t seed, std::uint64_t request_id,
     return accepted;
 }
 
+constexpr unsigned
+stateBit(RequestState state)
+{
+    return 1u << static_cast<unsigned>(state);
+}
+
+/** Each engine pool and the request states it holds (DESIGN.md §5);
+ *  SwappingIn and the terminal states sit in no pool. */
+struct PoolRule
+{
+    std::vector<std::size_t> SchedulerState::*pool;
+    const char *name;
+    unsigned states;
+
+    bool holds(RequestState s) const { return (states & stateBit(s)) != 0; }
+};
+
+constexpr PoolRule kPoolRules[] = {
+    {&SchedulerState::queue, "queue", stateBit(RequestState::Queued)},
+    {&SchedulerState::active, "active",
+     stateBit(RequestState::Prefilling) |
+         stateBit(RequestState::Decoding)},
+    {&SchedulerState::preempted, "preempted",
+     stateBit(RequestState::Preempted)},
+    {&SchedulerState::swapped, "swapped",
+     stateBit(RequestState::Swapped)},
+};
+
 } // namespace
 
 core::EngineConfig
@@ -152,7 +180,29 @@ EngineInstance::submit(std::int64_t l_in, std::int64_t l_out,
     request.sharedLen = shared_tokens;
     request.arrival = events_.now();
     requests_.push_back(request);
-    arrival(index);
+    if (sink_) {
+        const obs::Track track = ns_.request(request.id);
+        sink_->setTrackName(track, ns_.requestProcess,
+                            "req " + std::to_string(request.id));
+        sink_->instant(track, "arrive", events_.now(),
+                       {obs::arg("l_in", request.lIn),
+                        obs::arg("l_out", request.lOut)});
+    }
+    if (!admission_.fitsAlone(request)) {
+        // Can never fit the KV budget, not even alone.
+        transition(index, RequestState::Rejected, nullptr, events_.now());
+        ++metrics_.rejectedCapacity;
+        if (sink_)
+            sink_->instant(ns_.request(request.id),
+                           "reject.capacity", events_.now());
+        return index;
+    }
+    if (sink_)
+        sink_->beginSpan(ns_.request(request.id), "queued",
+                         events_.now());
+    pools_.queue.push_back(index);
+    if (!inFlight_)
+        startIteration();
     return index;
 }
 
@@ -167,7 +217,7 @@ double
 EngineInstance::kvLoad() const
 {
     double demand = admission_.reservedBytes();
-    for (std::size_t index : waiting_)
+    for (std::size_t index : pools_.queue)
         demand += admission_.requestKvBytes(requests_[index]);
     const double budget = admission_.kvBudgetBytes();
     return budget > 0 ? demand / budget : 0.0;
@@ -177,18 +227,18 @@ double
 EngineInstance::estimatedQueueDelay() const
 {
     double delay = 0;
-    for (std::size_t index : waiting_) {
+    for (std::size_t index : pools_.queue) {
         const Request &request = requests_[index];
         delay += costs_.chunkTime(
             1, 0, std::max<std::int64_t>(request.lIn, 1));
     }
-    if (!active_.empty()) {
+    if (!pools_.active.empty()) {
         std::int64_t context = 1;
-        for (std::size_t index : active_)
+        for (std::size_t index : pools_.active)
             context = std::max(context, requests_[index].context());
-        delay += costs_.time(Stage::Decode,
-                             static_cast<std::int64_t>(active_.size()),
-                             context);
+        delay += costs_.time(
+            Stage::Decode,
+            static_cast<std::int64_t>(pools_.active.size()), context);
     }
     // Admission stalls when the byte account is nearly full: stretch
     // the estimate by the remaining headroom (capped at 10x so one
@@ -202,44 +252,34 @@ EngineInstance::estimatedQueueDelay() const
 }
 
 /**
- * Close the open lifecycle span of @p request and open the next
- * one — request tracks carry exactly one state span at a time.
+ * Move requests_[index] to @p state and into the pool the state names.
+ * A named @p span closes the request's open lifecycle span and opens
+ * the next one (request tracks carry one state span at a time); a
+ * null one leaves the open span to the caller.
  */
 void
-EngineInstance::spanTransition(const Request &request, const char *next,
-                               double now)
-{
-    sink_->endSpan(ns_.request(request.id), now);
-    sink_->beginSpan(ns_.request(request.id), next, now);
-}
-
-void
-EngineInstance::arrival(std::size_t index)
+EngineInstance::transition(std::size_t index, RequestState state,
+                           const char *span, double now)
 {
     Request &request = requests_[index];
-    if (sink_) {
-        const obs::Track track = ns_.request(request.id);
-        sink_->setTrackName(track, ns_.requestProcess,
-                            "req " + std::to_string(request.id));
-        sink_->instant(track, "arrive", events_.now(),
-                       {obs::arg("l_in", request.lIn),
-                        obs::arg("l_out", request.lOut)});
+    for (const PoolRule &rule : kPoolRules)
+        if (rule.holds(state) && !rule.holds(request.state))
+            (pools_.*rule.pool).push_back(index);
+    request.state = state;
+    if (sink_ && span) {
+        sink_->endSpan(ns_.request(request.id), now);
+        sink_->beginSpan(ns_.request(request.id), span, now);
     }
-    if (!admission_.fitsAlone(request)) {
-        // Can never fit the KV budget, not even alone.
-        request.state = RequestState::Rejected;
-        ++metrics_.rejectedCapacity;
-        if (sink_)
-            sink_->instant(ns_.request(request.id),
-                           "reject.capacity", events_.now());
-        return;
-    }
-    if (sink_)
-        sink_->beginSpan(ns_.request(request.id), "queued",
-                         events_.now());
-    waiting_.push_back(index);
-    if (!inFlight_)
-        startIteration();
+}
+
+/** Drop every request whose state left its pool; order is kept. */
+void
+EngineInstance::prunePools()
+{
+    for (const PoolRule &rule : kPoolRules)
+        std::erase_if(pools_.*rule.pool, [this, &rule](std::size_t i) {
+            return !rule.holds(requests_[i].state);
+        });
 }
 
 /** A request emitted one token: record the inter-token gap. */
@@ -257,194 +297,27 @@ EngineInstance::tokenEmitted(Request &request, double now)
     request.lastTokenTime = now;
 }
 
-/** The running pools must stay pairwise disjoint per request. */
+/** The pools must stay pairwise disjoint per request. */
 void
 EngineInstance::checkStateExclusivity() const
 {
-    for (std::size_t index : active_) {
-        const RequestState s = requests_[index].state;
-        LIA_ASSERT(s == RequestState::Prefilling ||
-                       s == RequestState::Decoding,
-                   "active request in state ", toString(s));
-    }
-    for (std::size_t index : preempted_)
-        LIA_ASSERT(requests_[index].state == RequestState::Preempted,
-                   "preempted pool holds a ",
-                   toString(requests_[index].state), " request");
-    for (std::size_t index : swapped_)
-        LIA_ASSERT(requests_[index].state == RequestState::Swapped,
-                   "swap pool holds a ",
-                   toString(requests_[index].state), " request");
+    for (const PoolRule &rule : kPoolRules)
+        for (std::size_t index : pools_.*rule.pool)
+            LIA_ASSERT(rule.holds(requests_[index].state), rule.name,
+                       " pool holds a ",
+                       toString(requests_[index].state), " request");
 }
 
 void
 EngineInstance::startIteration()
 {
     const double now = events_.now();
-    const std::size_t depth = waiting_.size();
+    const std::size_t depth = pools_.queue.size();
     checkStateExclusivity();
 
-    SchedulerState state;
-    state.queue = waiting_;
-    state.active = active_;
-    state.preempted = preempted_;
-    state.swappedTotal = swapped_.size();
-    for (std::size_t index : swapped_)
-        if (requests_[index].swapReady)
-            state.swappable.push_back(index);
-
-    // Flush completed passes into the prefix tree *before* the
-    // scheduler probes it: this iteration's lookups then match the
-    // post-split tree, so the backend can mirror all structural ops
-    // first and attach all hits after.
-    std::vector<PrefixOp> insertOps;
-    if (prefixCache_) {
-        for (std::size_t index : pendingInserts_) {
-            const Request &request = requests_[index];
-            auto ops = prefixCache_->insert(
-                prefixCache_->promptOf(request), request.id);
-            insertOps.insert(insertOps.end(), ops.begin(), ops.end());
-        }
-        pendingInserts_.clear();
-    }
-
-    IterationPlan plan = scheduler_.next(now, state, requests_);
-    plan.prefixOps.insert(plan.prefixOps.begin(), insertOps.begin(),
-                          insertOps.end());
-
-    for (std::size_t index : plan.shed) {
-        requests_[index].state = RequestState::Rejected;
-        ++metrics_.shedSlo;
-        if (sink_) {
-            const obs::Track track =
-                ns_.request(requests_[index].id);
-            sink_->endSpan(track, now);  // close "queued"
-            sink_->instant(track, "shed.slo", now);
-        }
-    }
-    for (std::size_t index : plan.admit) {
-        Request &request = requests_[index];
-        request.state = RequestState::Prefilling;
-        request.admitTime = now;
-        active_.push_back(index);
-        if (sink_)
-            spanTransition(request, "prefill", now);
-    }
-    if (!plan.shed.empty() || !plan.admit.empty()) {
-        waiting_.erase(
-            std::remove_if(waiting_.begin(), waiting_.end(),
-                           [this](std::size_t index) {
-                               return requests_[index].state !=
-                                      RequestState::Queued;
-                           }),
-            waiting_.end());
-    }
-
-    // --- Preemption traffic ---------------------------------------
-    for (std::size_t index : plan.evict) {
-        Request &request = requests_[index];
-        request.state = RequestState::Preempted;
-        request.prefillTarget = request.context();
-        request.prefilled = 0;
-        // The recompute prefill rebuilds every token itself — any
-        // prefix attached at first admission is gone with the KV.
-        request.prefixHitTokens = 0;
-        ++request.preemptions;
-        ++request.recomputes;
-        ++metrics_.preemptions;
-        ++metrics_.recomputes;
-        preempted_.push_back(index);
-        if (sink_)
-            spanTransition(request, "preempted", now);
-    }
-    for (std::size_t index : plan.swapOut) {
-        Request &request = requests_[index];
-        request.state = RequestState::Swapped;
-        request.swapReady = false;
-        ++request.preemptions;
-        ++request.swapOuts;
-        ++metrics_.preemptions;
-        ++metrics_.swapOuts;
-        metrics_.swapOutBytes += request.kvSwappedBytes;
-        swapped_.push_back(index);
-        if (sink_)
-            spanTransition(request, "swapped", now);
-        swapChannel_.transfer(
-            request.kvSwappedBytes,
-            [this, index](sim::Tick) {
-                requests_[index].swapReady = true;
-                // A drained swap-out may be the only thing the
-                // idle engine was waiting on.
-                if (!inFlight_)
-                    startIteration();
-            });
-    }
-    if (!plan.evict.empty() || !plan.swapOut.empty()) {
-        active_.erase(
-            std::remove_if(active_.begin(), active_.end(),
-                           [this](std::size_t index) {
-                               const RequestState s =
-                                   requests_[index].state;
-                               return s ==
-                                          RequestState::Preempted ||
-                                      s == RequestState::Swapped;
-                           }),
-            active_.end());
-    }
-    for (std::size_t index : plan.resume) {
-        requests_[index].state = RequestState::Prefilling;
-        active_.push_back(index);
-        if (sink_)
-            spanTransition(requests_[index], "recompute", now);
-    }
-    if (!plan.resume.empty()) {
-        preempted_.erase(
-            std::remove_if(preempted_.begin(), preempted_.end(),
-                           [this](std::size_t index) {
-                               return requests_[index].state !=
-                                      RequestState::Preempted;
-                           }),
-            preempted_.end());
-    }
-    for (std::size_t index : plan.swapIn) {
-        // The cache streams back while this iteration computes; the
-        // request rejoins the batch when its transfer drains.
-        Request &request = requests_[index];
-        ++metrics_.swapIns;
-        metrics_.swapInBytes += request.kvReservedBytes;
-        if (sink_) {
-            sink_->instant(
-                ns_.request(request.id), "swap_in.start", now,
-                {obs::arg("bytes", request.kvReservedBytes)});
-        }
-        swapChannel_.transfer(
-            request.kvReservedBytes,
-            [this, index](sim::Tick) { swapInArrived(index); });
-    }
-    if (!plan.swapIn.empty()) {
-        swapped_.erase(
-            std::remove_if(swapped_.begin(), swapped_.end(),
-                           [&plan](std::size_t index) {
-                               return std::find(
-                                          plan.swapIn.begin(),
-                                          plan.swapIn.end(),
-                                          index) !=
-                                      plan.swapIn.end();
-                           }),
-            swapped_.end());
-    }
-
-    if (prefixCache_)
-        applyPrefixPlan(plan);
-
-    // Execute the committed plan: all request pools and the
-    // admission byte account reflect it at this point, but no
-    // engine-side progress counters have advanced yet.
-    if (backend_ && !plan.idle())
-        backend_->onPlan(plan, requests_, admission_);
-    // Speculation resolves after execution: the backend verified
-    // every speculative entry inside onPlan's forward pass.
-    resolveSpeculation(plan);
+    IterationPlan plan = planIteration(now);
+    commit(plan, now);
+    execute(plan);
 
     if (plan.computeIdle()) {
         inFlight_ = false;
@@ -460,22 +333,137 @@ EngineInstance::startIteration()
     }
     inFlight_ = true;
 
-    // Price the iteration once: the chunk batch at its widest chunk
-    // and deepest history, the decode batch at its longest context.
-    const core::IterationEstimate *chunkCost = nullptr;
-    const core::IterationEstimate *decodeCost = nullptr;
-    double duration = 0;
+    const IterationPrice price = priceIteration(plan);
+    record(plan, now, depth, price);
+    events_.schedule(now + price.duration,
+                     [this, plan = std::move(plan)]() {
+                         completeIteration(plan);
+                     });
+}
+
+/**
+ * Flush completed passes into the prefix tree *before* the scheduler
+ * probes it: this iteration's lookups then match the post-split tree,
+ * so the backend can mirror all structural ops first and attach all
+ * hits after.
+ */
+IterationPlan
+EngineInstance::planIteration(double now)
+{
+    std::vector<PrefixOp> insertOps;
+    if (prefixCache_) {
+        for (std::size_t index : pendingInserts_) {
+            const Request &request = requests_[index];
+            auto ops = prefixCache_->insert(
+                prefixCache_->promptOf(request), request.id);
+            insertOps.insert(insertOps.end(), ops.begin(), ops.end());
+        }
+        pendingInserts_.clear();
+    }
+
+    IterationPlan plan = scheduler_.next(now, pools_, requests_);
+    plan.prefixOps.insert(plan.prefixOps.begin(), insertOps.begin(),
+                          insertOps.end());
+    return plan;
+}
+
+/**
+ * Transition every request the plan names, in the order shed, admit,
+ * evict, swap-out, resume, swap-in: the DES breaks transfer ties by
+ * insertion order, and the trace follows emission order.
+ */
+void
+EngineInstance::commit(const IterationPlan &plan, double now)
+{
+    for (std::size_t index : plan.shed) {
+        transition(index, RequestState::Rejected, nullptr, now);
+        ++metrics_.shedSlo;
+        if (sink_) {
+            const obs::Track track =
+                ns_.request(requests_[index].id);
+            sink_->endSpan(track, now);  // close "queued"
+            sink_->instant(track, "shed.slo", now);
+        }
+    }
+    for (std::size_t index : plan.admit) {
+        requests_[index].admitTime = now;
+        transition(index, RequestState::Prefilling, "prefill", now);
+    }
+
+    // --- Preemption traffic ---------------------------------------
+    for (std::size_t index : plan.evict) {
+        Request &request = requests_[index];
+        request.prefillTarget = request.context();
+        request.prefilled = 0;
+        // The recompute prefill rebuilds every token itself — any
+        // prefix attached at first admission is gone with the KV.
+        request.prefixHitTokens = 0;
+        ++request.preemptions;
+        ++request.recomputes;
+        ++metrics_.preemptions;
+        ++metrics_.recomputes;
+        transition(index, RequestState::Preempted, "preempted", now);
+    }
+    for (std::size_t index : plan.swapOut) {
+        Request &request = requests_[index];
+        request.swapReady = false;
+        ++request.preemptions;
+        ++request.swapOuts;
+        ++metrics_.preemptions;
+        ++metrics_.swapOuts;
+        metrics_.swapOutBytes += request.kvSwappedBytes;
+        transition(index, RequestState::Swapped, "swapped", now);
+        swapChannel_.transfer(
+            request.kvSwappedBytes,
+            [this, index](sim::Tick) {
+                requests_[index].swapReady = true;
+                // A drained swap-out may be the only thing the
+                // idle engine was waiting on.
+                if (!inFlight_)
+                    startIteration();
+            });
+    }
+    for (std::size_t index : plan.resume)
+        transition(index, RequestState::Prefilling, "recompute", now);
+    for (std::size_t index : plan.swapIn) {
+        // The cache streams back while this iteration computes; the
+        // request rejoins the batch when its transfer drains, and its
+        // "swapped" span stays open until then.
+        Request &request = requests_[index];
+        ++metrics_.swapIns;
+        metrics_.swapInBytes += request.kvReservedBytes;
+        transition(index, RequestState::SwappingIn, nullptr, now);
+        if (sink_) {
+            sink_->instant(
+                ns_.request(request.id), "swap_in.start", now,
+                {obs::arg("bytes", request.kvReservedBytes)});
+        }
+        swapChannel_.transfer(
+            request.kvReservedBytes,
+            [this, index](sim::Tick) { swapInArrived(index); });
+    }
+    prunePools();
+
+    if (prefixCache_)
+        applyPrefixPlan(plan);
+}
+
+/** The chunk batch at its widest chunk and deepest history, the
+ *  decode batch at its longest context. */
+EngineInstance::IterationPrice
+EngineInstance::priceIteration(const IterationPlan &plan) const
+{
+    IterationPrice price;
     if (!plan.chunks.empty()) {
         std::int64_t chunkTokens = 1, chunkHistory = 0;
         for (const PrefillChunk &chunk : plan.chunks) {
             chunkTokens = std::max(chunkTokens, chunk.tokens);
             chunkHistory = std::max(chunkHistory, chunk.history);
         }
-        chunkCost = &costs_.chunkEstimate(
+        price.chunk = &costs_.chunkEstimate(
             static_cast<std::int64_t>(plan.chunks.size()), chunkHistory,
             chunkTokens);
-        duration += chunkCost->time;
-        metrics_.prefillChunks += plan.chunks.size();
+        price.duration += price.chunk->time;
     }
     if (!plan.decode.empty()) {
         std::int64_t decodeContext = 1;
@@ -488,18 +476,26 @@ EngineInstance::startIteration()
         std::int64_t spec_k = 0;
         for (std::int64_t k : plan.specDrafts)
             spec_k = std::max(spec_k, k);
-        decodeCost = spec_k > 0
-                         ? &costs_.specEstimate(plan.decodePriceBatch,
-                                                decodeContext, spec_k)
-                         : &costs_.estimate(Stage::Decode,
-                                            plan.decodePriceBatch,
-                                            decodeContext);
-        duration += decodeCost->time;
+        price.decode = spec_k > 0
+                           ? &costs_.specEstimate(plan.decodePriceBatch,
+                                                  decodeContext, spec_k)
+                           : &costs_.estimate(Stage::Decode,
+                                              plan.decodePriceBatch,
+                                              decodeContext);
+        price.duration += price.decode->time;
     }
-    LIA_ASSERT(duration > 0, "iteration priced at zero time");
+    LIA_ASSERT(price.duration > 0, "iteration priced at zero time");
+    return price;
+}
 
+void
+EngineInstance::record(const IterationPlan &plan, double now,
+                       std::size_t depth, const IterationPrice &price)
+{
+    metrics_.prefillChunks += plan.chunks.size();
     metrics_.queueDepth.add(static_cast<double>(depth));
-    metrics_.batchOccupancy.add(static_cast<double>(active_.size()));
+    metrics_.batchOccupancy.add(
+        static_cast<double>(pools_.active.size()));
     if (admission_.kvBudgetBytes() > 0)
         metrics_.kvOccupancy.add(admission_.reservedBytes() /
                                  admission_.kvBudgetBytes());
@@ -507,16 +503,10 @@ EngineInstance::startIteration()
         std::max(metrics_.kvReservedPeakBytes,
                  admission_.reservedBytes());
     ++metrics_.iterations;
-    metrics_.busyTime += duration;
+    metrics_.busyTime += price.duration;
 
     if (sink_)
-        emitIteration(plan, now, duration, depth, chunkCost,
-                      decodeCost);
-
-    events_.schedule(now + duration,
-                     [this, plan = std::move(plan)]() {
-                         completeIteration(plan);
-                     });
+        emitIteration(plan, now, depth, price);
 }
 
 /**
@@ -524,18 +514,15 @@ EngineInstance::startIteration()
  * the per-iteration counter samples. Duration is known when the
  * iteration is scheduled and iterations run serially, so begin
  * and end can be emitted together and stay per-track monotone.
- * @p chunk_cost and @p decode_cost are the estimates the iteration
- * was priced at (null when it has no chunks or no decodes).
  */
 void
 EngineInstance::emitIteration(const IterationPlan &plan, double now,
-                              double duration, std::size_t depth,
-                              const core::IterationEstimate *chunk_cost,
-                              const core::IterationEstimate *decode_cost)
+                              std::size_t depth,
+                              const IterationPrice &price)
 {
     core::Breakdown breakdown;
     double pcie_bytes = 0;
-    for (const core::IterationEstimate *est : {chunk_cost, decode_cost}) {
+    for (const core::IterationEstimate *est : {price.chunk, price.decode}) {
         if (est == nullptr)
             continue;
         breakdown.cpuTime += est->breakdown.cpuTime;
@@ -556,7 +543,7 @@ EngineInstance::emitIteration(const IterationPlan &plan, double now,
     sink_->counter(ns_.iterations(), "queue_depth", now,
                    static_cast<double>(depth));
     sink_->counter(ns_.iterations(), "batch_occupancy", now,
-                   static_cast<double>(active_.size()));
+                   static_cast<double>(pools_.active.size()));
     sink_->counter(ns_.iterations(), "kv_reserved_bytes", now,
                    admission_.reservedBytes());
     if (admission_.kvBudgetBytes() > 0)
@@ -567,7 +554,7 @@ EngineInstance::emitIteration(const IterationPlan &plan, double now,
     obs::Args args{
         obs::arg("iteration", static_cast<std::int64_t>(
                                   metrics_.iterations)),
-        obs::arg("duration_s", duration),
+        obs::arg("duration_s", price.duration),
         obs::arg("decode", static_cast<std::int64_t>(
                                plan.decode.size())),
         obs::arg("decode_price_batch", plan.decodePriceBatch),
@@ -598,12 +585,14 @@ EngineInstance::emitIteration(const IterationPlan &plan, double now,
                        monitor_->pressure(now));
     sink_->beginSpan(ns_.iterations(), "iteration", now,
                      std::move(args));
-    sink_->endSpan(ns_.iterations(), now + duration);
+    sink_->endSpan(ns_.iterations(), now + price.duration);
 }
 
 void
-EngineInstance::resolveSpeculation(IterationPlan &plan)
+EngineInstance::execute(IterationPlan &plan)
 {
+    if (backend_ && !plan.idle())
+        backend_->onPlan(plan, requests_, admission_);
     LIA_ASSERT(plan.specDrafts.size() == plan.decode.size(),
                "spec drafts out of step with the decode list");
     plan.specAccepted.reserve(plan.decode.size());
@@ -657,14 +646,10 @@ void
 EngineInstance::swapInArrived(std::size_t index)
 {
     Request &request = requests_[index];
-    LIA_ASSERT(request.state == RequestState::Swapped,
+    LIA_ASSERT(request.state == RequestState::SwappingIn,
                "swap-in of a ", toString(request.state),
                " request");
-    request.state = RequestState::Decoding;
-    request.swapReady = false;
-    active_.push_back(index);
-    if (sink_)
-        spanTransition(request, "decode", events_.now());
+    transition(index, RequestState::Decoding, "decode", events_.now());
     if (!inFlight_)
         startIteration();
 }
@@ -684,7 +669,7 @@ EngineInstance::completeIteration(const IterationPlan &plan)
         LIA_ASSERT(request.generated <= request.lOut,
                    "speculation overshot the output budget");
         if (request.done())
-            finish(request, now);
+            finish(plan.decode[i], now);
     }
     for (const PrefillChunk &chunk : plan.chunks) {
         Request &request = requests_[chunk.index];
@@ -716,27 +701,21 @@ EngineInstance::completeIteration(const IterationPlan &plan)
                 monitor_->onTtft(now, request.ttft());
         }
         tokenEmitted(request, now);
-        if (request.done()) {
-            finish(request, now);
-        } else {
-            request.state = RequestState::Decoding;
-            if (sink_)
-                spanTransition(request, "decode", now);
-        }
+        if (request.done())
+            finish(chunk.index, now);
+        else
+            transition(chunk.index, RequestState::Decoding, "decode",
+                       now);
     }
-    active_.erase(std::remove_if(active_.begin(), active_.end(),
-                                 [this](std::size_t index) {
-                                     return requests_[index].state ==
-                                            RequestState::Finished;
-                                 }),
-                  active_.end());
+    prunePools();
     startIteration();
 }
 
 void
-EngineInstance::finish(Request &request, double now)
+EngineInstance::finish(std::size_t index, double now)
 {
-    request.state = RequestState::Finished;
+    transition(index, RequestState::Finished, nullptr, now);
+    Request &request = requests_[index];
     request.finishTime = now;
     admission_.release(request);
     if (backend_)

@@ -109,11 +109,8 @@ class EngineInstance
     /** Requests submitted so far. */
     std::size_t submitted() const { return requests_.size(); }
 
-    /** Requests waiting for admission. */
-    std::size_t waitingCount() const { return waiting_.size(); }
-
     /** Admitted, unfinished requests (running batch). */
-    std::size_t activeCount() const { return active_.size(); }
+    std::size_t activeCount() const { return pools_.active.size(); }
 
     /** Submitted requests not yet in a terminal state. */
     std::size_t outstanding() const;
@@ -153,31 +150,45 @@ class EngineInstance
     Result finalize();
 
   private:
-    void arrival(std::size_t index);
-    void spanTransition(const Request &request, const char *next,
-                        double now);
+    /** The estimates an iteration is priced at (null when it has no
+     *  chunks or no decodes) and its modelled duration. */
+    struct IterationPrice
+    {
+        const core::IterationEstimate *chunk = nullptr;
+        const core::IterationEstimate *decode = nullptr;
+        double duration = 0;
+    };
+
+    void transition(std::size_t index, RequestState state,
+                    const char *span, double now);
+    void prunePools();
     void tokenEmitted(Request &request, double now);
     void checkStateExclusivity() const;
+
+    // --- Iteration stages, in startIteration() order -----------------
     void startIteration();
+    IterationPlan planIteration(double now);
+    void commit(const IterationPlan &plan, double now);
 
     /**
-     * Resolve every decode entry of the committed plan, a k = 0 entry
-     * to 0 accepted drafts. For a speculative entry ask the backend
-     * how many drafts its verify accepted (or fall back to the
-     * acceptance oracle), fill IterationPlan::specAccepted,
-     * settle the worst-case reservation back to the verified token
-     * count, and account the per-request / run metrics. Runs right
-     * after onPlan() and before pricing; nothing in between reads
-     * what it writes.
+     * Run the committed plan on the backend (all request pools and the
+     * admission account reflect it; no progress counter has advanced),
+     * then resolve every decode entry, a k = 0 entry to 0 accepted
+     * drafts. For a speculative entry ask the backend how many drafts
+     * its verify accepted (or fall back to the acceptance oracle),
+     * fill IterationPlan::specAccepted, settle the worst-case
+     * reservation back to the verified token count, and account the
+     * per-request / run metrics.
      */
-    void resolveSpeculation(IterationPlan &plan);
+    void execute(IterationPlan &plan);
+    IterationPrice priceIteration(const IterationPlan &plan) const;
+    void record(const IterationPlan &plan, double now, std::size_t depth,
+                const IterationPrice &price);
     void emitIteration(const IterationPlan &plan, double now,
-                       double duration, std::size_t depth,
-                       const core::IterationEstimate *chunk_cost,
-                       const core::IterationEstimate *decode_cost);
+                       std::size_t depth, const IterationPrice &price);
     void swapInArrived(std::size_t index);
     void completeIteration(const IterationPlan &plan);
-    void finish(Request &request, double now);
+    void finish(std::size_t index, double now);
     void applyPrefixPlan(const IterationPlan &plan);
 
     Config config_;
@@ -197,10 +208,7 @@ class EngineInstance
     std::vector<std::size_t> pendingInserts_;
 
     std::vector<Request> requests_;
-    std::vector<std::size_t> waiting_;    //!< FIFO admission queue
-    std::vector<std::size_t> active_;     //!< admitted, unfinished
-    std::vector<std::size_t> preempted_;  //!< evicted, awaiting recompute
-    std::vector<std::size_t> swapped_;    //!< KV parked in the CXL pool
+    SchedulerState pools_;  //!< read in place by the scheduler
     bool inFlight_ = false;
     Metrics metrics_;
 

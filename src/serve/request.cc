@@ -19,6 +19,8 @@ toString(RequestState state)
         return "preempted";
       case RequestState::Swapped:
         return "swapped";
+      case RequestState::SwappingIn:
+        return "swapping_in";
       case RequestState::Finished:
         return "finished";
       case RequestState::Rejected:

@@ -6,7 +6,8 @@
  * complete (or is rejected/shed at admission). Under the preemptive
  * scheduler a running request can additionally be preempted when KV
  * pressure breaches the budget: its cache is either swapped to the
- * CXL pool (Swapped, restored by a swap-in transfer) or discarded
+ * CXL pool (Swapped, then SwappingIn while the swap-in transfer
+ * streams it back) or discarded
  * (Preempted, rebuilt later by a recompute prefill over prompt plus
  * already-generated tokens). Every transition is timestamped in
  * simulated seconds so the metrics layer can report TTFT,
@@ -29,6 +30,7 @@ enum class RequestState
     Decoding,    //!< generating output tokens
     Preempted,   //!< KV evicted under pressure, awaiting recompute
     Swapped,     //!< KV swapped to the CXL pool, awaiting swap-in
+    SwappingIn,  //!< swap-in transfer in flight, rejoins on arrival
     Finished,    //!< all lOut tokens produced
     Rejected,    //!< never admitted (capacity or SLO shedding)
 };

@@ -1,5 +1,6 @@
 #include "serve/runtime_backend.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <span>
 #include <sstream>
@@ -141,12 +142,6 @@ RuntimeBackend::RuntimeBackend(const hw::SystemConfig &system,
                                   model::draftModelConfig(model_)));
 }
 
-double
-RuntimeBackend::perTokenBytes() const
-{
-    return model_.kvBytesPerToken();
-}
-
 RuntimeBackend::Sequence &
 RuntimeBackend::sequence(std::uint64_t id)
 {
@@ -212,12 +207,17 @@ RuntimeBackend::applyPrefixOps(const IterationPlan &plan)
             ++counters_.prefixSplits;
             break;
           }
-          case PrefixOp::Kind::Evict: {
+          case PrefixOp::Kind::Evict:
+          case PrefixOp::Kind::DropCxl: {
+            // Evict drops a DDR-resident span, DropCxl a demoted one.
+            const bool cxl = op.kind == PrefixOp::Kind::DropCxl;
             auto it = nodes_.find(op.node);
-            LIA_ASSERT(it != nodes_.end(), "evicting unknown node");
-            LIA_ASSERT(!it->second.demoted,
-                       "Evict names a demoted node");
-            cacheDdrBytes_ -= it->second.span.bytes;
+            LIA_ASSERT(it != nodes_.end() && it->second.demoted == cxl,
+                       cxl ? "DropCxl" : "Evict", " of node ", op.node,
+                       ", which is unknown or ",
+                       cxl ? "not demoted" : "demoted");
+            (cxl ? cacheCxlBytes_ : cacheDdrBytes_) -=
+                it->second.span.bytes;
             nodes_.erase(it);
             ++counters_.prefixEvictions;
             break;
@@ -229,15 +229,6 @@ RuntimeBackend::applyPrefixOps(const IterationPlan &plan)
             cacheDdrBytes_ -= payload.span.bytes;
             cacheCxlBytes_ += payload.span.bytes;
             ++counters_.prefixDemotions;
-            break;
-          }
-          case PrefixOp::Kind::DropCxl: {
-            auto it = nodes_.find(op.node);
-            LIA_ASSERT(it != nodes_.end() && it->second.demoted,
-                       "DropCxl of a non-demoted node");
-            cacheCxlBytes_ -= it->second.span.bytes;
-            nodes_.erase(it);
-            ++counters_.prefixEvictions;
             break;
           }
         }
@@ -281,7 +272,7 @@ RuntimeBackend::attachHit(const PrefixHit &hit, const Request &request,
                " attached KV that does not fingerprint as the cached "
                "prompt prefix");
     seq.passDone = hit.tokens;
-    ddrBytes_ += perTokenBytes() * static_cast<double>(hit.tokens);
+    ddrBytes_ += model_.kvBytesPerToken() * static_cast<double>(hit.tokens);
     ++counters_.prefixAttaches;
     ++counters_.prefixHitsVerified;
     counters_.prefixAttachTokens +=
@@ -293,39 +284,60 @@ RuntimeBackend::onPlan(const IterationPlan &plan,
                        const std::vector<Request> &requests,
                        const AdmissionController &admission)
 {
-    const double perToken = perTokenBytes();
-    const bool optimistic = config_.policy == SchedulerPolicy::Preemptive;
-
     // Prefix-cache mirror first: the engine flushes tree inserts at
     // the top of every iteration (sourcing passes that completed last
     // plan) and the scheduler's lookups saw the post-mutation tree,
-    // so all ops apply before any hit attaches below. The inserts
-    // copy what they need; this plan's completions restage.
+    // so all ops apply before any hit attaches. The inserts copy what
+    // they need; this plan's completions restage.
     applyPrefixOps(plan);
     passes_.clear();
-    std::map<std::size_t, const PrefixHit *> hits;
-    for (const PrefixHit &hit : plan.prefixHits)
-        hits.emplace(hit.index, &hit);
+    mirrorTransitions(plan, requests);
 
-    // Preemption transitions first, mirroring the scheduler: victims
-    // freed their DDR bytes before this plan's chunks and decode grew.
+    // Every decode entry and prefill chunk of the plan runs in one
+    // forward pass (DESIGN.md §6), so the iteration streams the
+    // weights once.
+    const std::vector<runtime::ForwardFeed> feeds =
+        buildFeeds(plan, requests);
+    const std::vector<std::int64_t> sampled =
+        feeds.empty() ? std::vector<std::int64_t>{}
+                      : executor_.forward(feeds);
+    completeFeeds(plan, requests, feeds, sampled);
+    checkLedgers(admission);
+}
+
+std::uint64_t
+RuntimeBackend::dropCache(const Request &request, Sequence &seq)
+{
+    LIA_ASSERT(seq.parked.empty(), "request ", request.id,
+               " preempted while already parked");
+    const std::uint64_t digest =
+        seq.cache->fingerprint(-1, kernelPool_.get());
+    seq.draftCache.reset();
+    ddrBytes_ -= seq.cache->bf16Bytes();
+    seq.cache->clear();
+    LIA_ASSERT(request.kvReservedBytes == 0, "preempted request ",
+               request.id, " still holds a DDR reservation");
+    return digest;
+}
+
+void
+RuntimeBackend::mirrorTransitions(const IterationPlan &plan,
+                                  const std::vector<Request> &requests)
+{
+    // Victims first, mirroring the scheduler: they freed their DDR
+    // bytes before this plan's swap-ins, chunks and decodes grew.
     for (std::size_t index : plan.swapOut) {
         const Request &request = requests[index];
         Sequence &seq = sequence(request.id);
-        LIA_ASSERT(seq.parked.empty(), "request ", request.id,
-                   " swapped out while already parked");
-        seq.parkedDigest = seq.cache->fingerprint(-1, kernelPool_.get());
-        seq.draftCache.reset();
-        ddrBytes_ -= seq.cache->bf16Bytes();
-        seq.parked = seq.cache->snapshotRange(0, seq.cache->length());
-        seq.cache->clear();
+        runtime::KvSpan parked =
+            seq.cache->snapshotRange(0, seq.cache->length());
+        seq.parkedDigest = dropCache(request, seq);
+        seq.parked = std::move(parked);
         swapBytes_ += seq.parked.bytes;
         LIA_ASSERT(sameBytes(seq.parked.bytes, request.kvSwappedBytes),
                    "swap-out parked ", seq.parked.bytes,
                    " bytes but the engine accounts ",
                    request.kvSwappedBytes, " for request ", request.id);
-        LIA_ASSERT(request.kvReservedBytes == 0,
-                   "swapped request still holds a DDR reservation");
         ++counters_.swapOuts;
         counters_.swapOutBytes += seq.parked.bytes;
     }
@@ -333,21 +345,15 @@ RuntimeBackend::onPlan(const IterationPlan &plan,
     for (std::size_t index : plan.evict) {
         const Request &request = requests[index];
         Sequence &seq = sequence(request.id);
-        LIA_ASSERT(seq.parked.empty(), "evicting a parked request");
         // The recompute pass must rebuild exactly this cache (and then
         // one more position, which samples the continuation token).
         seq.evictedLength = seq.cache->length();
-        seq.evictedDigest = seq.cache->fingerprint(-1, kernelPool_.get());
-        seq.draftCache.reset();
-        seq.recomputing = true;
         LIA_ASSERT(seq.evictedLength == request.prefillTarget - 1,
                    "evicted cache holds ", seq.evictedLength,
                    " tokens but the recompute pass targets ",
                    request.prefillTarget);
-        ddrBytes_ -= seq.cache->bf16Bytes();
-        seq.cache->clear();
-        LIA_ASSERT(request.kvReservedBytes == 0,
-                   "evicted request still holds a DDR reservation");
+        seq.evictedDigest = dropCache(request, seq);
+        seq.recomputing = true;
         ++counters_.evictions;
     }
 
@@ -389,15 +395,16 @@ RuntimeBackend::onPlan(const IterationPlan &plan,
         // prefills only the suffix; the pass still *covers* the whole
         // prompt, so target counts both parts.
         seq.passTarget = request.prefillTarget + request.prefixHitTokens;
-        seq.passDone = 0;
         // The cache peaks at lIn + lOut - 1 tokens (the last decode
         // step's KV lands before its token samples); one slot of slack
         // keeps the bound obvious.
         seq.cache = std::make_shared<runtime::KvCache>(
             model_, 1, request.lIn + request.lOut);
-        const auto hit = hits.find(index);
-        if (hit != hits.end())
-            attachHit(*hit->second, request, seq);
+        const auto hit = std::find_if(
+            plan.prefixHits.begin(), plan.prefixHits.end(),
+            [index](const PrefixHit &h) { return h.index == index; });
+        if (hit != plan.prefixHits.end())
+            attachHit(*hit, request, seq);
         live_.emplace(request.id, std::move(seq));
     }
 
@@ -416,14 +423,41 @@ RuntimeBackend::onPlan(const IterationPlan &plan,
                    " != replayable stream ",
                    seq.prompt.size() + seq.outputs.size());
     }
+}
 
-    // Every decode entry and prefill chunk of the plan runs in one
-    // forward pass (DESIGN.md §6), so the iteration streams the
-    // weights once: decode entries first in plan order, then chunks in
-    // plan order, the feed order the ledger charges in. A decode entry
-    // is a speculative step of k = specDrafts[i] drafts, and a plain
-    // decode is its k = 0 case. Each entry is checked against its
-    // sequence's state before the pass and completed after it.
+void
+RuntimeBackend::checkDecodeKvLength(const Request &request,
+                                    const Sequence &seq) const
+{
+    const auto outputs = static_cast<std::int64_t>(seq.outputs.size());
+    LIA_ASSERT(seq.cache->length() == request.lIn + outputs - 1,
+               "decode KV length diverged for request ", request.id);
+}
+
+void
+RuntimeBackend::checkReservation(const Request &request,
+                                 const Sequence &seq,
+                                 std::int64_t pending) const
+{
+    const double bytes = seq.cache->bf16Bytes();
+    const double reserved = request.kvReservedBytes;
+    LIA_ASSERT(config_.policy == SchedulerPolicy::Preemptive
+                   ? sameBytes(bytes + model_.kvBytesPerToken() *
+                                           static_cast<double>(pending),
+                               reserved)
+                   : bytes <= reserved + 0.5,
+               "request ", request.id, ": cache ", bytes, " bytes, ",
+               pending, " pending tokens vs reservation ", reserved);
+}
+
+std::vector<runtime::ForwardFeed>
+RuntimeBackend::buildFeeds(const IterationPlan &plan,
+                           const std::vector<Request> &requests)
+{
+    // Decode entries first in plan order, then chunks in plan order:
+    // the feed order the ledger charges in and completeFeeds() reads.
+    // Each entry is checked against its sequence's state here, before
+    // the pass.
     LIA_ASSERT(plan.specDrafts.size() == plan.decode.size(),
                "spec drafts out of step with the decode list");
     std::vector<runtime::ForwardFeed> feeds;
@@ -435,12 +469,7 @@ RuntimeBackend::onPlan(const IterationPlan &plan,
                    "engine counts ", request.generated,
                    " generated tokens for request ", request.id,
                    " but the backend holds ", seq.outputs.size());
-        LIA_ASSERT(seq.cache->length() ==
-                       request.lIn +
-                           static_cast<std::int64_t>(
-                               seq.outputs.size()) - 1,
-                   "decode of request ", request.id,
-                   " starts from a diverged KV length");
+        checkDecodeKvLength(request, seq);
         // Feed [last, d1..dk], the k drafts proposed by the CPU-side
         // draft model, sampling every position when k > 0.
         const std::int64_t k = plan.specDrafts[i];
@@ -482,10 +511,16 @@ RuntimeBackend::onPlan(const IterationPlan &plan,
                                      chunk.history + chunk.tokens),
                          model::Stage::Prefill});
     }
+    return feeds;
+}
 
-    const std::vector<std::int64_t> sampled =
-        feeds.empty() ? std::vector<std::int64_t>{}
-                      : executor_.forward(feeds);
+void
+RuntimeBackend::completeFeeds(const IterationPlan &plan,
+                              const std::vector<Request> &requests,
+                              const std::vector<runtime::ForwardFeed> &feeds,
+                              const std::vector<std::int64_t> &sampled)
+{
+    const double perToken = model_.kvBytesPerToken();
     auto next = sampled.begin();
 
     // The decode feeds lead the pass, so feeds[i] is decode[i]'s.
@@ -521,29 +556,11 @@ RuntimeBackend::onPlan(const IterationPlan &plan,
         seq.outputs.insert(seq.outputs.end(), samples.begin(),
                            samples.begin() + accepted + 1);
         ddrBytes_ += perToken * static_cast<double>(accepted + 1);
-        LIA_ASSERT(seq.cache->length() ==
-                       request.lIn +
-                           static_cast<std::int64_t>(
-                               seq.outputs.size()) - 1,
-                   "decode KV length diverged for request ",
-                   request.id);
-        if (optimistic) {
-            // The scheduler grew the reservation by the worst-case
-            // k + 1 tokens; the engine settles the k - accepted
-            // rejected ones once onPlan returns.
-            LIA_ASSERT(sameBytes(seq.cache->bf16Bytes() +
-                                     perToken * static_cast<double>(
-                                                    k - accepted),
-                                 request.kvReservedBytes),
-                       "decode: cache ", seq.cache->bf16Bytes(),
-                       " bytes, ", k - accepted,
-                       " rejected drafts vs reservation ",
-                       request.kvReservedBytes);
-        } else {
-            LIA_ASSERT(seq.cache->bf16Bytes() <=
-                           request.kvReservedBytes + 0.5,
-                       "cache grew past the full-horizon reservation");
-        }
+        checkDecodeKvLength(request, seq);
+        // The scheduler grew the reservation by the worst-case k + 1
+        // tokens; the engine settles the k - accepted rejected ones
+        // once onPlan returns.
+        checkReservation(request, seq, k - accepted);
     }
 
     for (const PrefillChunk &chunk : plan.chunks) {
@@ -576,17 +593,16 @@ RuntimeBackend::onPlan(const IterationPlan &plan,
             // iteration; stage the cache itself (see passes_).
             passes_[request.id] = seq.cache;
         }
-        if (optimistic) {
-            LIA_ASSERT(sameBytes(seq.cache->bf16Bytes(),
-                                 request.kvReservedBytes),
-                       "pass completion: cache ", seq.cache->bf16Bytes(),
-                       " bytes vs reservation ", request.kvReservedBytes);
-        }
+        checkReservation(request, seq, 0);
     }
 
     LIA_ASSERT(next == sampled.end(), "forward sampled ", sampled.size(),
                " tokens the plan did not consume");
+}
 
+void
+RuntimeBackend::checkLedgers(const AdmissionController &admission) const
+{
     // Whole-account lockstep: the runtime's materialised bytes never
     // exceed the engine's reservations (in-flight pass remainders and
     // full-horizon slack are reserved but not yet materialised), and

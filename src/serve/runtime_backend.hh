@@ -4,16 +4,17 @@
  * plan runs on the runtime:: functional stack.
  *
  * The backend keeps one single-sequence runtime::KvCache per admitted
- * request and drives runtime::CooperativeExecutor through exactly the
- * work the plan lists: evict-and-recompute (KvCache::clear()) and
- * swap-to-CXL parking (the whole cache copied out as a BF16-width
- * runtime::KvSpan, then cleared; preload() brings it back), then one
- * forward pass per plan over every decode entry and prefill chunk
- * (fresh and recompute) it lists, each sequence feeding its own tokens
- * against its own cache. Every decode entry is a speculative step of
- * k drafts, a plain decode being k = 0: it drafts its k tokens on the
- * draft model first and feeds [last, d1..dk], sampling every position
- * when k > 0; acceptedDrafts() then tells the engine how many held.
+ * request, and onPlan() runs the engine's committed plan in stages:
+ * prefix-tree ops; the request transitions (swap-out parks the whole
+ * cache as a BF16-width runtime::KvSpan and clears it, evict clears it
+ * for a recompute, swap-in preload()s the span back, admit and resume
+ * open a pass); one feed per decode entry, then per prefill chunk;
+ * one runtime::CooperativeExecutor forward pass over all feeds; the
+ * decodes' and chunks' completion; the whole-account ledger checks.
+ * Every decode entry is a speculative step of k drafts, a plain decode
+ * being k = 0: it drafts on the draft model and feeds [last, d1..dk],
+ * sampling every position when k > 0; the engine then asks
+ * acceptedDrafts() how many held, still inside its execute stage.
  * Prompts are synthesized deterministically from the request id, so
  * the same served workload always decodes the same greedy token
  * streams.
@@ -212,7 +213,6 @@ class RuntimeBackend : public ExecutionBackend
     };
 
     Sequence &sequence(std::uint64_t id);
-    double perTokenBytes() const;
 
     /** Mirror one plan's tree mutations into the node payloads. */
     void applyPrefixOps(const IterationPlan &plan);
@@ -220,6 +220,30 @@ class RuntimeBackend : public ExecutionBackend
     /** Attach @p hit's cached KV into @p seq's fresh cache. */
     void attachHit(const PrefixHit &hit, const Request &request,
                    Sequence &seq);
+
+    // --- onPlan() stages, in order, after applyPrefixOps() ----------
+    void mirrorTransitions(const IterationPlan &plan,
+                           const std::vector<Request> &requests);
+    std::vector<runtime::ForwardFeed>
+    buildFeeds(const IterationPlan &plan,
+               const std::vector<Request> &requests);
+    void completeFeeds(const IterationPlan &plan,
+                       const std::vector<Request> &requests,
+                       const std::vector<runtime::ForwardFeed> &feeds,
+                       const std::vector<std::int64_t> &sampled);
+    void checkLedgers(const AdmissionController &admission) const;
+
+    /** Fingerprint (returned) and drop a preemption victim's cache. */
+    std::uint64_t dropCache(const Request &request, Sequence &seq);
+
+    /** A decoding cache holds its stream but the last sampled token. */
+    void checkDecodeKvLength(const Request &request,
+                             const Sequence &seq) const;
+
+    /** The cache fits the engine's reservation; under the optimistic
+     *  policy it equals it, counting @p pending unwritten tokens. */
+    void checkReservation(const Request &request, const Sequence &seq,
+                          std::int64_t pending) const;
 
     model::ModelConfig model_;
     Config config_;

@@ -93,6 +93,22 @@ Scheduler::setDecode(IterationPlan &plan, std::vector<std::size_t> decode,
     plan.decode = std::move(decode);
     for (std::size_t index : plan.decode)
         plan.specDrafts.push_back(specDraftTokensFor(requests[index]));
+    plan.decodePriceBatch = static_cast<std::int64_t>(plan.decode.size());
+}
+
+std::vector<std::size_t>
+Scheduler::continuePrefills(IterationPlan &plan,
+                            const std::vector<std::size_t> &active,
+                            const std::vector<Request> &requests) const
+{
+    std::vector<std::size_t> decode;
+    for (std::size_t index : active) {
+        if (requests[index].inPrefill())
+            addChunk(plan, index, requests[index]);
+        else
+            decode.push_back(index);
+    }
+    return decode;
 }
 
 void
@@ -125,19 +141,22 @@ Scheduler::probeCache(IterationPlan &plan, const Request &request) const
 }
 
 void
-Scheduler::commitMatch(IterationPlan &plan, const PrefixMatch &match,
-                       std::size_t index, Request &request)
+Scheduler::admit(IterationPlan &plan, const PrefixMatch &match,
+                 std::size_t index, Request &request)
 {
+    request.prefillTarget = request.lIn;
     request.prefixHitTokens = 0;
     request.prefixNode = 0;
-    if (!match.hit())
-        return;
-    plan.prefixHits.push_back(cache_->commitHit(match, index));
-    request.prefixHitTokens = match.tokens;
-    request.prefixNode = match.path.back();
-    request.prefillTarget = request.lIn - match.tokens;
-    LIA_ASSERT(request.prefillTarget >= 1,
-               "prefix hit left nothing to prefill");
+    if (match.hit()) {
+        plan.prefixHits.push_back(cache_->commitHit(match, index));
+        request.prefixHitTokens = match.tokens;
+        request.prefixNode = match.path.back();
+        request.prefillTarget = request.lIn - match.tokens;
+        LIA_ASSERT(request.prefillTarget >= 1,
+                   "prefix hit left nothing to prefill");
+    }
+    plan.admit.push_back(index);
+    addChunk(plan, index, request);
 }
 
 bool
@@ -153,20 +172,6 @@ Scheduler::reclaimCache(IterationPlan &plan, double deficit)
 }
 
 bool
-Scheduler::admitWithReclaim(IterationPlan &plan, const Request &request)
-{
-    if (admission_.canAdmit(request))
-        return true;
-    const double deficit = admission_.reservedBytes() +
-                           admission_.cacheDdrBytes() +
-                           admission_.requestKvBytes(request) -
-                           admission_.kvBudgetBytes();
-    if (!reclaimCache(plan, deficit))
-        return false;
-    return admission_.canAdmit(request);
-}
-
-bool
 Scheduler::fitsWithReclaim(IterationPlan &plan, double bytes,
                            double watermark)
 {
@@ -178,17 +183,6 @@ Scheduler::fitsWithReclaim(IterationPlan &plan, double bytes,
     if (!reclaimCache(plan, deficit))
         return false;
     return admission_.fitsBytes(bytes, watermark);
-}
-
-IterationPlan
-Scheduler::next(double now, const std::vector<std::size_t> &queue,
-                const std::vector<std::size_t> &active,
-                std::vector<Request> &requests)
-{
-    SchedulerState state;
-    state.queue = queue;
-    state.active = active;
-    return next(now, state, requests);
 }
 
 IterationPlan
@@ -217,14 +211,11 @@ Scheduler::next(double now, const SchedulerState &state,
                 config_.maxBatch)
                 break;
             Request &request = requests[index];
-            if (!admitWithReclaim(plan, request))
+            if (!fitsWithReclaim(plan, admission_.requestKvBytes(request)))
                 break;  // FIFO: the head of the line blocks
             const PrefixMatch match = probeCache(plan, request);
             admission_.reserve(request);
-            request.prefillTarget = request.lIn;
-            commitMatch(plan, match, index, request);
-            plan.admit.push_back(index);
-            addChunk(plan, index, request);
+            admit(plan, match, index, request);
         }
         staticCohort_ = static_cast<std::int64_t>(plan.admit.size());
         plan.batchCap = config_.maxBatch;
@@ -235,16 +226,7 @@ Scheduler::next(double now, const SchedulerState &state,
     // iteration, in-flight prefills continue their chunks, and the
     // batch is topped up from the queue.
     const bool slo = config_.policy == SchedulerPolicy::SloAware;
-    std::vector<std::size_t> decode;
-    for (std::size_t index : active) {
-        if (requests[index].inPrefill())
-            addChunk(plan, index, requests[index]);
-        else
-            decode.push_back(index);
-    }
-    setDecode(plan, std::move(decode), requests);
-    plan.decodePriceBatch =
-        static_cast<std::int64_t>(plan.decode.size());
+    setDecode(plan, continuePrefills(plan, active, requests), requests);
 
     std::int64_t cap = config_.maxBatch;
     if (slo && plannerCap_ > 0)
@@ -267,7 +249,7 @@ Scheduler::next(double now, const SchedulerState &state,
         if (occupancy >= cap)
             break;
         Request &request = requests[index];
-        if (!admitWithReclaim(plan, request))
+        if (!fitsWithReclaim(plan, admission_.requestKvBytes(request)))
             break;  // FIFO: no skip-ahead past a blocked head
         // Probe before SLO shedding: a hit shrinks the prefill to the
         // suffix, which can rescue a request the cold estimate would
@@ -305,11 +287,8 @@ Scheduler::next(double now, const SchedulerState &state,
             }
         }
         admission_.reserve(request);
-        request.prefillTarget = request.lIn;
-        commitMatch(plan, match, index, request);
+        admit(plan, match, index, request);
         widest_prompt = std::max(widest_prompt, effective_prompt);
-        plan.admit.push_back(index);
-        addChunk(plan, index, request);
     }
     return plan;
 }
@@ -321,16 +300,10 @@ Scheduler::nextPreemptive(double now, const SchedulerState &state,
     IterationPlan plan;
     plan.batchCap = config_.maxBatch;
 
-    // Split the running batch into decode candidates and in-flight
-    // prefills (whose KV is already reserved and does not grow).
-    std::vector<std::size_t> decode;
-    std::vector<std::size_t> prefilling;
-    for (std::size_t index : state.active) {
-        if (requests[index].inPrefill())
-            prefilling.push_back(index);
-        else
-            decode.push_back(index);
-    }
+    // In-flight prefills continue (their KV is already reserved and
+    // does not grow); the rest of the batch are decode candidates.
+    std::vector<std::size_t> decode =
+        continuePrefills(plan, state.active, requests);
 
     // --- Preemption: make this iteration's KV growth fit -------------
     // Each decode step appends one token of KV per sequence. Victims
@@ -390,11 +363,6 @@ Scheduler::nextPreemptive(double now, const SchedulerState &state,
         admission_.grow(requests[index],
                         specDraftTokensFor(requests[index]) + 1);
     setDecode(plan, std::move(decode), requests);
-    plan.decodePriceBatch =
-        static_cast<std::int64_t>(plan.decode.size());
-
-    for (std::size_t index : prefilling)
-        addChunk(plan, index, requests[index]);
 
     auto occupancy = [&]() {
         return static_cast<std::int64_t>(
@@ -408,10 +376,12 @@ Scheduler::nextPreemptive(double now, const SchedulerState &state,
     // the watermark gates new work, not returning work.
     const bool stable = plan.swapOut.empty() && plan.evict.empty();
     if (stable) {
-        for (std::size_t index : state.swappable) {
+        for (std::size_t index : state.swapped) {
+            Request &request = requests[index];
+            if (!request.swapReady)
+                continue;  // its swap-out is still draining
             if (occupancy() >= config_.maxBatch)
                 break;
-            Request &request = requests[index];
             if (!fitsWithReclaim(plan, request.kvSwappedBytes))
                 break;  // FIFO: oldest swap-out returns first
             admission_.swapIn(request);
@@ -434,7 +404,7 @@ Scheduler::nextPreemptive(double now, const SchedulerState &state,
     // New requests join against their prompt footprint plus the
     // watermark, and only while no victim is waiting to return —
     // otherwise fresh arrivals would starve preempted work forever.
-    if (stable && state.preempted.empty() && state.swappedTotal == 0) {
+    if (stable && state.preempted.empty() && state.swapped.empty()) {
         for (std::size_t index : state.queue) {
             if (occupancy() >= config_.maxBatch)
                 break;
@@ -459,9 +429,7 @@ Scheduler::nextPreemptive(double now, const SchedulerState &state,
                 break;  // FIFO: no skip-ahead past a blocked head
             const PrefixMatch match = probeCache(plan, request);
             admission_.reservePrompt(request);
-            commitMatch(plan, match, index, request);
-            plan.admit.push_back(index);
-            addChunk(plan, index, request);
+            admit(plan, match, index, request);
         }
     }
     return plan;

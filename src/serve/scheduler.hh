@@ -131,7 +131,8 @@ struct IterationPlan
     }
 };
 
-/** Scheduler view of the request pools at an iteration boundary. */
+/** The engine's request pools, which the scheduler reads in place;
+ *  a request sits in the pool its state names (DESIGN.md §5). */
 struct SchedulerState
 {
     /** Waiting request indices, FIFO order. */
@@ -143,11 +144,8 @@ struct SchedulerState
     /** Evicted indices awaiting a recompute slot, FIFO order. */
     std::vector<std::size_t> preempted;
 
-    /** Swapped indices whose swap-out drained (swap-in eligible). */
-    std::vector<std::size_t> swappable;
-
-    /** All swapped-out requests, drained or not. */
-    std::size_t swappedTotal = 0;
+    /** Swapped-out indices; drained ones (swapReady) may swap in. */
+    std::vector<std::size_t> swapped;
 };
 
 /** Batch-composition policy engine. */
@@ -167,12 +165,6 @@ class Scheduler
      *                  moved to the swap account
      */
     IterationPlan next(double now, const SchedulerState &state,
-                       std::vector<Request> &requests);
-
-    /** Convenience overload for queue+active-only call sites. */
-    IterationPlan next(double now,
-                       const std::vector<std::size_t> &queue,
-                       const std::vector<std::size_t> &active,
                        std::vector<Request> &requests);
 
     /**
@@ -216,10 +208,18 @@ class Scheduler
   private:
     /**
      * Make @p decode @p plan's decode list, each entry with its
-     * specDraftTokensFor() draft count (0: a plain step).
+     * specDraftTokensFor() draft count (0: a plain step), priced at
+     * its own size.
      */
     void setDecode(IterationPlan &plan, std::vector<std::size_t> decode,
                    const std::vector<Request> &requests) const;
+
+    /** Append a chunk to @p plan for every in-flight prefill of
+     *  @p active; return the rest, in order: they decode. */
+    std::vector<std::size_t>
+    continuePrefills(IterationPlan &plan,
+                     const std::vector<std::size_t> &active,
+                     const std::vector<Request> &requests) const;
 
     /** Append @p index's next prefill chunk to @p plan. */
     void addChunk(IterationPlan &plan, std::size_t index,
@@ -229,16 +229,14 @@ class Scheduler
     PrefixMatch probeCache(IterationPlan &plan,
                            const Request &request) const;
 
-    /** Commit @p match on the admitted @p request (no-op on miss). */
-    void commitMatch(IterationPlan &plan, const PrefixMatch &match,
-                     std::size_t index, Request &request);
+    /** Admit @p request: commit @p match on it (none on a miss), then
+     *  append it and its first prefill chunk to @p plan. */
+    void admit(IterationPlan &plan, const PrefixMatch &match,
+               std::size_t index, Request &request);
 
     /** Reclaim @p deficit cache bytes into @p plan; false if nothing
      *  could be reclaimed (no cache, or no unpinned victims). */
     bool reclaimCache(IterationPlan &plan, double deficit);
-
-    /** canAdmit() with a one-shot cache-reclaim retry. */
-    bool admitWithReclaim(IterationPlan &plan, const Request &request);
 
     /** fitsBytes() with a one-shot cache-reclaim retry. */
     bool fitsWithReclaim(IterationPlan &plan, double bytes,

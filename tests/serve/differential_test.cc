@@ -10,8 +10,10 @@
  * are LIA_ASSERT-enforced inside the backend, so any divergence aborts
  * the run at the first bad iteration with the offending request named.
  *
- * Defaults to 500+ scenarios; LIA_DIFFERENTIAL_SCENARIOS scales the
- * sweep (the nightly CI job raises it).
+ * Defaults to 500+ scenarios, every third one on int8 weights (the
+ * runtime then executes the int8 packed kernels);
+ * LIA_DIFFERENTIAL_SCENARIOS scales the sweep (the nightly CI job
+ * raises it).
  */
 
 #include <gtest/gtest.h>
@@ -25,6 +27,14 @@ namespace {
 
 using namespace lia;
 using serve::SchedulerPolicy;
+
+/** Every third scenario serves the int8-weight model; the share is
+ *  drawn from the index, so the random config stream is unchanged. */
+bool
+int8Scenario(std::size_t s)
+{
+    return s % 3 == 0;
+}
 
 constexpr SchedulerPolicy kPolicies[] = {
     SchedulerPolicy::StaticFifo,
@@ -43,7 +53,8 @@ TEST(DifferentialTest, AnalyticalAndRuntimeBackedPathsAgree)
     for (std::size_t s = 0; s < scenarios; ++s) {
         const bool cxl =
             std::uniform_int_distribution<int>(0, 3)(rng) > 0;
-        const double step = test::tinySharedCosts(cxl)->time(
+        const bool int8 = int8Scenario(s);
+        const double step = test::tinySharedCosts(cxl, int8)->time(
             model::Stage::Decode, 4, 64);
         serve::Config cfg = test::randomTinyConfig(rng, step);
         cfg.cxlSpill = cxl;
@@ -58,8 +69,9 @@ TEST(DifferentialTest, AnalyticalAndRuntimeBackedPathsAgree)
                      << cfg.seed << " cap " << cfg.kvBudgetCapBytes
                      << " chunk " << cfg.prefillChunkTokens
                      << " maxContext " << cfg.maxContext << " rate "
-                     << cfg.arrivalRatePerSecond << " cxl " << cxl);
-        test::runDifferentialScenario(cfg, cxl, outcome);
+                     << cfg.arrivalRatePerSecond << " cxl " << cxl
+                     << " int8 " << int8);
+        test::runDifferentialScenario(cfg, cxl, outcome, int8);
         if (::testing::Test::HasFailure())
             FAIL() << "differential divergence after " << s + 1
                    << " scenarios";
@@ -72,8 +84,9 @@ TEST(DifferentialTest, AnalyticalAndRuntimeBackedPathsAgree)
 /**
  * The sweep must exercise the machinery it claims to verify: across
  * the default scenario set both victim exits fire, swapped caches come
- * back, prompts chunk, capacity rejects, and preempted completions are
- * continuity-checked against uninterrupted references.
+ * back, prompts chunk, capacity rejects, and preempted completions —
+ * int8-weight ones included — are continuity-checked against
+ * uninterrupted references.
  */
 TEST(DifferentialTest, SweepExercisesPreemptionAndContinuityChecks)
 {
@@ -85,14 +98,15 @@ TEST(DifferentialTest, SweepExercisesPreemptionAndContinuityChecks)
     for (std::size_t s = 0; s < scenarios && s < 200; ++s) {
         const bool cxl =
             std::uniform_int_distribution<int>(0, 3)(rng) > 0;
-        const double step = test::tinySharedCosts(cxl)->time(
+        const bool int8 = int8Scenario(s);
+        const double step = test::tinySharedCosts(cxl, int8)->time(
             model::Stage::Decode, 4, 64);
         serve::Config cfg = test::randomTinyConfig(rng, step);
         cfg.cxlSpill = cxl;
         cfg.policy = SchedulerPolicy::Preemptive;
         SCOPED_TRACE(testing::Message() << "scenario " << s << " seed "
-                                        << cfg.seed);
-        test::runDifferentialScenario(cfg, cxl, outcome);
+                                        << cfg.seed << " int8 " << int8);
+        test::runDifferentialScenario(cfg, cxl, outcome, int8);
     }
 
     EXPECT_GT(outcome.preemptions, 0u);
@@ -116,6 +130,11 @@ TEST(DifferentialTest, SweepExercisesPreemptionAndContinuityChecks)
     EXPECT_GT(outcome.specSteps, 0u);
     EXPECT_GT(outcome.specDrafted, outcome.specAccepted);
     EXPECT_GT(outcome.specPreemptedRequests, 0u);
+    // The int8 share preempts and is continuity-checked as well: the
+    // backend's int8 path keeps the same lockstep and token streams.
+    EXPECT_GT(outcome.int8Scenarios, 0u);
+    EXPECT_GT(outcome.int8Preemptions, 0u);
+    EXPECT_GT(outcome.int8PreemptedContinuityChecked, 0u);
 }
 
 } // namespace

@@ -29,14 +29,13 @@ namespace {
 using namespace lia;
 using serve::RequestState;
 
-model::ModelConfig
+/** The differential harness's tiny served model, int8-priced: the
+ *  backend sees weightBytesPerElement == 1.0 and switches the executor
+ *  to the int8 packed kernels. */
+const model::ModelConfig &
 int8ServedModel()
 {
-    // The differential harness's tiny served model, int8-priced: the
-    // backend sees weightBytesPerElement == 1.0 and switches the
-    // executor to the int8 packed kernels.
-    return model::quantized(model::tinyOpt(32, 2, 2, 256, 101),
-                            model::WeightPrecision::Int8);
+    return test::tinyServedModel(true);
 }
 
 serve::Config

@@ -36,8 +36,7 @@ struct Harness
     serve::Scheduler scheduler;
 
     std::vector<Request> requests;
-    std::vector<std::size_t> queue;
-    std::vector<std::size_t> active;
+    serve::SchedulerState state;
 
     explicit Harness(serve::Config config)
         : cfg(std::move(config)), engine(sys, m),
@@ -56,16 +55,72 @@ struct Harness
         request.lOut = l_out;
         request.arrival = arrival;
         requests.push_back(request);
-        queue.push_back(requests.size() - 1);
+        state.queue.push_back(requests.size() - 1);
         return requests.size() - 1;
     }
 
     IterationPlan
     plan(double now = 0)
     {
-        return scheduler.next(now, queue, active, requests);
+        return scheduler.next(now, state, requests);
     }
 };
+
+/**
+ * Admit the whole queue and finish every prefill, as the engine would
+ * once the passes complete: the requests sit in the active pool,
+ * decoding.
+ */
+void
+startDecoding(Harness &h)
+{
+    const IterationPlan admitted = h.plan();
+    ASSERT_EQ(admitted.admit, h.state.queue);
+    h.state.queue.clear();
+    for (std::size_t index : admitted.admit) {
+        Request &request = h.requests[index];
+        request.state = serve::RequestState::Decoding;
+        request.prefilled = request.prefillTarget;
+        request.generated = 1;
+        h.state.active.push_back(index);
+    }
+}
+
+/** Move active @p index's KV to the swap pool, as a committed
+ *  swap-out does; @p drained says whether its transfer finished. */
+void
+parkSwapped(Harness &h, std::size_t index, bool drained)
+{
+    std::erase(h.state.active, index);
+    Request &request = h.requests[index];
+    h.admission.swapOut(request);
+    request.state = serve::RequestState::Swapped;
+    request.swapReady = drained;
+    h.state.swapped.push_back(index);
+}
+
+/** Discard active @p index's KV for a recompute, as a committed
+ *  eviction does. */
+void
+parkPreempted(Harness &h, std::size_t index)
+{
+    std::erase(h.state.active, index);
+    Request &request = h.requests[index];
+    h.admission.release(request);
+    request.state = serve::RequestState::Preempted;
+    request.prefillTarget = request.context();
+    request.prefilled = 0;
+    h.state.preempted.push_back(index);
+}
+
+serve::Config
+preemptiveConfig()
+{
+    serve::Config cfg;
+    cfg.policy = serve::SchedulerPolicy::Preemptive;
+    cfg.maxBatch = 8;
+    return cfg;
+}
 
 TEST(SchedulerTest, ContinuousAdmitsTheFifoPrefixUpToMaxBatch)
 {
@@ -142,11 +197,11 @@ TEST(SchedulerTest, StaticCohortIsPricedAtItsInitialSize)
 
     const auto first = h.plan();
     ASSERT_EQ(first.admit.size(), 3u);
-    h.queue.clear();
+    h.state.queue.clear();
 
     // Two members finish; the survivor still pays for batch 3, and
     // new arrivals may not join the cohort mid-flight.
-    h.active = {2};
+    h.state.active = {2};
     h.requests[2].generated = 10;
     h.enqueue(128, 32);
     const auto later = h.plan();
@@ -242,9 +297,9 @@ TEST(SchedulerTest, SpecOffPlansCarryOneZeroDraftCountPerDecode)
 
         // The prompts finish their prefill and each has emitted its
         // first token: the next plan decodes all three.
-        h.queue.clear();
-        h.active = admitted.admit;
-        for (std::size_t index : h.active) {
+        h.state.queue.clear();
+        h.state.active = admitted.admit;
+        for (std::size_t index : h.state.active) {
             h.requests[index].prefilled = h.requests[index].prefillTarget;
             h.requests[index].generated = 1;
         }
@@ -253,6 +308,87 @@ TEST(SchedulerTest, SpecOffPlansCarryOneZeroDraftCountPerDecode)
         EXPECT_EQ(decoding.specDrafts,
                   std::vector<std::int64_t>(decoding.decode.size(), 0));
     }
+}
+
+// --- Victim re-entry (preemptive policy) -----------------------------
+
+TEST(SchedulerTest, UndrainedSwapOutIsNotSwappedIn)
+{
+    Harness h(preemptiveConfig());
+    h.enqueue(256, 64);
+    h.enqueue(256, 64);
+    startDecoding(h);
+    ASSERT_EQ(h.state.active.size(), 2u);
+    parkSwapped(h, 0, /*drained=*/false);
+    parkSwapped(h, 1, /*drained=*/true);
+
+    // Only the drained swap-out returns, though both fit.
+    const IterationPlan plan = h.plan();
+    EXPECT_EQ(plan.swapIn, std::vector<std::size_t>{1});
+    EXPECT_DOUBLE_EQ(h.requests[0].kvReservedBytes, 0.0);
+    EXPECT_GT(h.requests[0].kvSwappedBytes, 0.0);
+}
+
+TEST(SchedulerTest, AnyParkedVictimBlocksFreshAdmission)
+{
+    for (const bool swapped : {false, true}) {
+        for (const bool drained : {false, true}) {
+            if (!swapped && drained)
+                continue;
+            SCOPED_TRACE(testing::Message() << "swapped " << swapped
+                                            << " drained " << drained);
+            Harness h(preemptiveConfig());
+            h.enqueue(256, 64);
+            startDecoding(h);
+            if (swapped)
+                parkSwapped(h, 0, drained);
+            else
+                parkPreempted(h, 0);
+
+            // A fresh arrival that fits waits behind the victim, even
+            // one whose swap-out is still draining.
+            h.enqueue(32, 8);
+            const IterationPlan plan = h.plan();
+            EXPECT_TRUE(plan.admit.empty());
+            EXPECT_EQ(plan.swapIn.size(), swapped && drained ? 1u : 0u);
+            EXPECT_EQ(plan.resume.size(), swapped ? 0u : 1u);
+        }
+    }
+}
+
+TEST(SchedulerTest, PreemptingRoundAdmitsNobodyBack)
+{
+    serve::Config cfg = preemptiveConfig();
+    cfg.kvBudgetCapBytes = 2.0 * 1024 * 1024 * 1024;
+    Harness h(cfg);
+    const auto tokens = static_cast<std::int64_t>(
+        h.admission.kvBudgetBytes() / h.m.kvBytesPerToken());
+    // Two decoding requests plus a preempted and a drained swapped
+    // victim; then the budget fills to the last token, so this round's
+    // decode growth must preempt. Its victim, the 512-token decoder
+    // admitted last, frees far more than either parked request needs
+    // to come back.
+    h.enqueue(64, 16);
+    h.enqueue(512, 16);
+    h.enqueue(16, 4);
+    h.enqueue(16, 4);
+    startDecoding(h);
+    ASSERT_EQ(h.state.active.size(), 4u);
+    parkPreempted(h, 2);
+    parkSwapped(h, 3, /*drained=*/true);
+    h.enqueue(16, 4);
+    Request hog;
+    hog.lIn = tokens - static_cast<std::int64_t>(
+                           h.admission.reservedBytes() /
+                           h.m.kvBytesPerToken());
+    hog.lOut = 0;
+    h.admission.reserve(hog);
+
+    const IterationPlan plan = h.plan();
+    EXPECT_EQ(plan.swapOut.size() + plan.evict.size(), 1u);
+    EXPECT_TRUE(plan.swapIn.empty());
+    EXPECT_TRUE(plan.resume.empty());
+    EXPECT_TRUE(plan.admit.empty());
 }
 
 } // namespace

@@ -25,33 +25,42 @@ tinySystem(bool cxl)
 }
 
 const model::ModelConfig &
-tinyServedModel()
+tinyServedModel(bool int8)
 {
     // d=32, 2 layers, 2 heads: one KV token is 256 bytes, a full
     // forward is microseconds — 500+ executed serving runs stay fast
     // while byte budgets in the tens of KB force real preemption.
+    // Quantizing prices the weights at one byte each; the KV stays
+    // BF16, so both variants have the same KV geometry.
     static const model::ModelConfig model =
         model::tinyOpt(32, 2, 2, 256, 101);
-    return model;
+    static const model::ModelConfig int8_model =
+        model::quantized(model, model::WeightPrecision::Int8);
+    return int8 ? int8_model : model;
 }
 
 std::shared_ptr<const serve::IterationCostCache>
-tinySharedCosts(bool cxl)
+tinySharedCosts(bool cxl, bool int8)
 {
     // Must mirror the pricing preset ServingEngine builds internally.
-    static const auto make = [](bool has_cxl) {
+    static const auto make = [](bool has_cxl, bool int8_weights) {
+        const model::ModelConfig &served = tinyServedModel(int8_weights);
         core::EngineConfig cfg;
         cfg.costOptions.executionAwareObjective = true;
         cfg.autoMemoryPolicy = has_cxl;
-        cfg.specDraftModel = model::draftModelConfig(tinyServedModel());
+        cfg.specDraftModel = model::draftModelConfig(served);
         static std::vector<std::unique_ptr<core::EngineModel>> keep;
         keep.push_back(std::make_unique<core::EngineModel>(
-            tinySystem(has_cxl), tinyServedModel(), cfg));
+            tinySystem(has_cxl), served, cfg));
         return std::make_shared<const serve::IterationCostCache>(
             *keep.back(), 32);
     };
-    static const auto with = make(true);
-    static const auto without = make(false);
+    static const auto with = make(true, false);
+    static const auto without = make(false, false);
+    static const auto with_int8 = make(true, true);
+    static const auto without_int8 = make(false, true);
+    if (int8)
+        return cxl ? with_int8 : without_int8;
     return cxl ? with : without;
 }
 
@@ -203,8 +212,9 @@ checkContinuity(serve::RuntimeBackend &backend,
 
 void
 runDifferentialScenario(const serve::Config &config, bool cxl,
-                        DifferentialOutcome &outcome)
+                        DifferentialOutcome &outcome, bool int8)
 {
+    const model::ModelConfig &served = tinyServedModel(int8);
     // The backed leg runs first: when speculation is on, the runtime's
     // verify pass decides the real accept counts, the recording
     // backend captures them, and the analytic leg replays them through
@@ -220,10 +230,9 @@ runDifferentialScenario(const serve::Config &config, bool cxl,
             return recorded.at(id).at(step);
         };
 
-    serve::ServingEngine engine(tinySystem(cxl), tinyServedModel(),
-                                cfg, tinySharedCosts(cxl));
-    RecordingBackend backend(tinySystem(cxl), tinyServedModel(), cfg,
-                             recorded);
+    serve::ServingEngine engine(tinySystem(cxl), served, cfg,
+                                tinySharedCosts(cxl, int8));
+    RecordingBackend backend(tinySystem(cxl), served, cfg, recorded);
     const serve::Result backed = engine.run(&backend);
     const serve::Result analytic = engine.run();
 
@@ -277,6 +286,8 @@ runDifferentialScenario(const serve::Config &config, bool cxl,
     // Token continuity: every preempted completion must match its
     // uninterrupted reference bit for bit; one never-preempted
     // completion per scenario cross-checks the plain path too.
+    const std::size_t preemptedChecked =
+        outcome.preemptedContinuityChecked;
     bool plainChecked = false;
     for (const auto &request : backed.requests) {
         if (request.state != RequestState::Finished)
@@ -295,6 +306,12 @@ runDifferentialScenario(const serve::Config &config, bool cxl,
             ++outcome.specPreemptedRequests;
     }
 
+    if (int8) {
+        ++outcome.int8Scenarios;
+        outcome.int8Preemptions += mx.preemptions;
+        outcome.int8PreemptedContinuityChecked +=
+            outcome.preemptedContinuityChecked - preemptedChecked;
+    }
     ++outcome.scenarios;
     outcome.preemptions += mx.preemptions;
     outcome.recomputes += mx.recomputes;

@@ -17,9 +17,10 @@
  *    bit-identical to an uninterrupted single-sequence generation;
  *  - no KV leaks at drain.
  *
- * Scenarios run a miniature OPT model (microsecond forwards) over
- * byte budgets small enough that preemption, both victim exits, and
- * chunked prefill all genuinely occur. The scenario count follows
+ * Scenarios run a miniature OPT model (microsecond forwards), with
+ * bf16 or int8 weights, over byte budgets small enough that
+ * preemption, both victim exits, and chunked prefill all genuinely
+ * occur. The scenario count follows
  * LIA_DIFFERENTIAL_SCENARIOS (nightly CI raises it).
  */
 
@@ -66,17 +67,26 @@ struct DifferentialOutcome
     std::size_t continuityChecked = 0;
     /** ...of which this many had actually been preempted. */
     std::size_t preemptedContinuityChecked = 0;
+
+    // --- The int8-weight scenarios' share of the above ----------------
+    std::size_t int8Scenarios = 0;
+    std::uint64_t int8Preemptions = 0;
+    std::size_t int8PreemptedContinuityChecked = 0;
 };
 
 /** The differential deployment (tiny CPU/GPU/CXL system). */
 const hw::SystemConfig &tinySystem(bool cxl);
 
-/** The served miniature model (shared by engine and runtime). */
-const model::ModelConfig &tinyServedModel();
+/**
+ * The served miniature model (shared by engine and runtime); with
+ * @p int8 the same model int8-priced, which the runtime backend
+ * executes on the int8 packed kernels.
+ */
+const model::ModelConfig &tinyServedModel(bool int8 = false);
 
 /** Shared calibrated cost cache over (tinySystem, tinyServedModel). */
 std::shared_ptr<const serve::IterationCostCache>
-tinySharedCosts(bool cxl);
+tinySharedCosts(bool cxl, bool int8 = false);
 
 /** Scenario count from @p env_name, or @p fallback when unset. */
 std::size_t envScenarioCount(const char *env_name, std::size_t fallback);
@@ -92,11 +102,13 @@ serve::Config randomTinyConfig(std::mt19937_64 &rng,
                                double decodeStepSeconds);
 
 /**
- * Run @p config through both paths and assert the differential
- * properties; accumulates exercised machinery into @p outcome.
+ * Run @p config on tinyServedModel(@p int8) through both paths and
+ * assert the differential properties; accumulates exercised machinery
+ * into @p outcome.
  */
 void runDifferentialScenario(const serve::Config &config, bool cxl,
-                             DifferentialOutcome &outcome);
+                             DifferentialOutcome &outcome,
+                             bool int8 = false);
 
 } // namespace test
 } // namespace lia
